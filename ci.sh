@@ -7,7 +7,7 @@
 #   ./ci.sh fast       # skip the release build (debug test cycle only)
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
-#   ./ci.sh release    # release build + bench compile + determinism matrix
+#   ./ci.sh release    # release build + bench/benchmark compile + determinism matrix
 #   ./ci.sh serve      # obf_server integration tests + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + digest check
 #   ./ci.sh cluster    # obf_cluster tests + cluster_bench toy run + fleet digest check
@@ -41,6 +41,12 @@ release() {
 
     step "benches compile"
     cargo bench --no-run --workspace -q
+
+    # The reference benchmark (perfbench/, its own lockfile) calls the
+    # public obf_core / obf_evolve API: an API change that breaks it must
+    # fail here, not on the next benchmark run.
+    step "reference benchmark builds"
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
     # Thread-matrix smoke: the parallel engine must produce bit-identical
     # experiment output for every thread count (fixed seed). Run the
@@ -278,7 +284,7 @@ analyze() {
     # Pedantic clippy subset promoted to errors on the engine crates
     # (their path dependencies compile — and are linted — with them).
     step "clippy pedantic subset (engine crates)"
-    cargo clippy -q -p obf_core -p obf_uncertain -p obf_graph -p obf_cluster --all-targets -- \
+    cargo clippy -q -p obf_core -p obf_uncertain -p obf_graph -p obf_cluster -p obf_evolve --all-targets -- \
         -D clippy::if_not_else \
         -D clippy::manual_let_else \
         -D clippy::semicolon_if_nothing_returned \

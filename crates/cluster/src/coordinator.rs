@@ -8,12 +8,14 @@
 //!   The chunking of `0..n` vertices is fixed by `chunk_size` alone
 //!   (`Parallelism::chunk_range`); workers receive contiguous *chunk
 //!   index* ranges ([`obf_graph::split_ranges`]) and return one
-//!   `(Σ x, Σ x·log₂ x)` pair per chunk. The coordinator then folds
-//!   **all chunks in ascending global chunk order** — the same
-//!   left-fold `AdversaryTable::entropies` performs — so the
-//!   floating-point reduction tree is independent of the worker count.
-//!   Workers merging their own chunks first would change the tree:
-//!   `(((c0+c1)+c2)+c3)` is not `((c0+c1)+(c2+c3))` in floating point.
+//!   `(Σ x, Σ x·log₂ x)` pair per chunk — the Definition 2 kernel's
+//!   [`ColumnPartials`]. The coordinator hands **all chunks in ascending
+//!   global chunk order** to the kernel's fold ([`fold_entropies`], the
+//!   one `AdversaryTable::entropies` uses) and its verdict
+//!   ([`ObfuscationCheck::from_entropies`]), so the floating-point
+//!   reduction tree is independent of the worker count. Workers merging
+//!   their own chunks first would change the tree: `(((c0+c1)+c2)+c3)`
+//!   is not `((c0+c1)+(c2+c3))` in floating point.
 //! * **World indices are the unit of sampling scatter.** World `i` is
 //!   a pure function of `(master_seed, i)`; concatenating the workers'
 //!   contiguous index ranges in order reproduces
@@ -23,9 +25,8 @@
 use crate::transport::Transport;
 use crate::wire::{decode_response, encode_request_with_trace, WorkerRequest, WorkerResponse};
 use crate::ClusterError;
-use obf_core::{DegreeProfile, ObfuscationCheck};
+use obf_core::{fold_entropies, ColumnPartials, DegreeProfile, ObfuscationCheck};
 use obf_graph::{split_ranges, Graph, Parallelism};
-use obf_stats::entropy_from_partials;
 use obf_uncertain::{snapshot_bytes, DegreeDistMethod, UncertainGraph};
 
 /// Drives a set of workers through load / check / sample rounds.
@@ -160,7 +161,7 @@ impl Coordinator {
                 },
             )?;
         }
-        let mut per_chunk: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; n_chunks];
+        let mut per_chunk: Vec<Option<ColumnPartials>> = vec![None; n_chunks];
         for (w, chunks) in assignment.iter().enumerate() {
             if chunks.is_empty() {
                 continue;
@@ -190,8 +191,8 @@ impl Coordinator {
                             ),
                         });
                     }
-                    for (i, pair) in mass.into_iter().zip(xlogx).enumerate() {
-                        per_chunk[chunks.start + i] = Some(pair);
+                    for (i, (mass, xlogx)) in mass.into_iter().zip(xlogx).enumerate() {
+                        per_chunk[chunks.start + i] = Some(ColumnPartials { mass, xlogx });
                     }
                 }
                 other => {
@@ -202,22 +203,11 @@ impl Coordinator {
                 }
             }
         }
-        // The global left-fold, in ascending chunk order.
-        let mut mass = vec![0.0f64; omegas.len()];
-        let mut xlogx = vec![0.0f64; omegas.len()];
-        for pair in per_chunk.into_iter() {
-            let (chunk_mass, chunk_xlogx) =
-                pair.expect("every chunk assigned to exactly one worker");
-            for j in 0..omegas.len() {
-                mass[j] += chunk_mass[j];
-                xlogx[j] += chunk_xlogx[j];
-            }
-        }
-        Ok(mass
-            .iter()
-            .zip(&xlogx)
-            .map(|(&w, &acc)| entropy_from_partials(w, acc))
-            .collect())
+        let chunks = per_chunk.iter().map(|p| {
+            p.as_ref()
+                .expect("every chunk assigned to exactly one worker")
+        });
+        Ok(fold_entropies(chunks, 0..omegas.len()))
     }
 
     /// The distributed Definition 2 check against a precomputed degree
@@ -231,9 +221,6 @@ impl Coordinator {
     ) -> Result<ObfuscationCheck, ClusterError> {
         let n = self.loaded_n.ok_or(ClusterError::NoGraph)?;
         assert_eq!(profile.num_vertices(), n, "vertex sets differ");
-        if n == 0 {
-            return Ok(ObfuscationCheck::from_entropies(profile, Vec::new(), k));
-        }
         let entropies = self.entropies(profile.distinct(), method, chunk_size)?;
         Ok(ObfuscationCheck::from_entropies(profile, entropies, k))
     }
@@ -376,22 +363,28 @@ mod tests {
 
     #[test]
     fn distributed_check_is_bit_identical_across_worker_counts() {
-        let (original, published) = paper_graph();
-        let profile = DegreeProfile::new(&original);
-        let table = AdversaryTable::build(&published, DegreeDistMethod::Exact);
-        for chunk_size in [1, 2, 3, 64] {
-            let par = Parallelism::sequential().with_chunk_size(chunk_size);
-            let expected = ObfuscationCheck::run_with_profile(&profile, &table, 2, &par);
-            for workers in [1, 2, 4, 9] {
-                let mut coord = Coordinator::new(spawn_in_proc_workers(workers));
-                coord.load_graph(&published).unwrap();
-                let got = coord
-                    .check(&original, 2, DegreeDistMethod::Exact, chunk_size)
-                    .unwrap();
-                assert_eq!(got.entropy_by_degree, expected.entropy_by_degree);
-                assert_eq!(got.eps_achieved.to_bits(), expected.eps_achieved.to_bits());
-                assert_eq!(got.failed_vertices, expected.failed_vertices);
-                coord.shutdown().unwrap();
+        // The toy pair and the empty graph (n = 0), at k = 2 and k = 1.
+        let empty = (Graph::empty(0), UncertainGraph::new(0, vec![]).unwrap());
+        for (original, published) in [paper_graph(), empty] {
+            let profile = DegreeProfile::new(&original);
+            let table = AdversaryTable::build(&published, DegreeDistMethod::Exact);
+            for (k, chunk_size) in [1, 2]
+                .into_iter()
+                .flat_map(|k| [1, 2, 3, 64].map(|c| (k, c)))
+            {
+                let par = Parallelism::sequential().with_chunk_size(chunk_size);
+                let expected = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+                for workers in [1, 2, 4, 9] {
+                    let mut coord = Coordinator::new(spawn_in_proc_workers(workers));
+                    coord.load_graph(&published).unwrap();
+                    let got = coord
+                        .check(&original, k, DegreeDistMethod::Exact, chunk_size)
+                        .unwrap();
+                    assert_eq!(got.entropy_by_degree, expected.entropy_by_degree);
+                    assert_eq!(got.eps_achieved.to_bits(), expected.eps_achieved.to_bits());
+                    assert_eq!(got.failed_vertices, expected.failed_vertices);
+                    coord.shutdown().unwrap();
+                }
             }
         }
     }

@@ -3,12 +3,13 @@
 //!
 //! A worker is deliberately dumb: it holds one graph and answers one
 //! request at a time. All partitioning decisions (which chunks, which
-//! world indices) live in the coordinator; the worker just runs the
-//! same kernels the single-process engine runs —
-//! [`obf_core::chunk_entropy_partials`] over the *globally fixed*
-//! chunking and [`obf_uncertain::sample_indexed_world`] over the
-//! seed-indexed world stream — which is what makes the distributed
-//! answer bit-identical.
+//! world indices) live in the coordinator; the worker is a row source
+//! for the same kernels the single-process engine runs —
+//! [`obf_core::chunk_entropy_partials`] derives each chunk's rows on
+//! the fly and accumulates them with the Definition 2 kernel
+//! ([`obf_core::definition2`]) over the *globally fixed* chunking, and
+//! [`obf_uncertain::sample_indexed_world`] walks the seed-indexed world
+//! stream — which is what makes the distributed answer bit-identical.
 
 use crate::transport::{Transport, TransportError};
 use crate::wire::{decode_request_traced, encode_response, WorkerRequest, WorkerResponse};
@@ -127,9 +128,9 @@ impl Worker {
         let mut xlogx = Vec::with_capacity(n_chunks as usize);
         for chunk in first_chunk..end_chunk {
             let range = par.chunk_range(n, chunk as usize);
-            let (m, x) = chunk_entropy_partials(g, method, &omegas_usize, range);
-            mass.push(m);
-            xlogx.push(x);
+            let partials = chunk_entropy_partials(g, method, &omegas_usize, range);
+            mass.push(partials.mass);
+            xlogx.push(partials.xlogx);
         }
         WorkerResponse::ChunkPartials {
             first_chunk,
@@ -344,10 +345,10 @@ mod tests {
         };
         assert_eq!(first_chunk, 1);
         assert_eq!(mass.len(), 2);
-        let (m1, x1) =
+        let direct =
             chunk_entropy_partials(&g, obf_uncertain::DegreeDistMethod::Exact, &[0, 1, 2], 2..4);
-        assert_eq!(mass[0], m1);
-        assert_eq!(xlogx[0], x1);
+        assert_eq!(mass[0], direct.mass);
+        assert_eq!(xlogx[0], direct.xlogx);
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! degree `ω`; its entropy certifies k-obfuscation (Definition 2).
 
 use obf_graph::{Graph, Parallelism};
-use obf_stats::entropy::{entropy_bits_normalized, entropy_from_partials, obfuscation_level};
+use obf_stats::entropy::{entropy_bits_normalized, obfuscation_level};
 use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::UncertainGraph;
+
+pub use crate::definition2::ObfuscationCheck;
+use crate::definition2::{fold_entropies, ColumnPartials};
 
 /// Degree statistics of the *original* graph that every Definition 2
 /// check consumes: per-vertex degrees, sorted distinct degrees with
@@ -147,6 +150,12 @@ impl AdversaryTable {
         &self.rows[v as usize]
     }
 
+    /// Replaces the row of vertex `v` — how a table follows a new
+    /// release whose other rows are unchanged.
+    pub fn set_row(&mut self, v: u32, row: Vec<f64>) {
+        self.rows[v as usize] = row;
+    }
+
     /// The unnormalised column `[X_u(ω)]_u` over all vertices.
     pub fn column(&self, omega: usize) -> Vec<f64> {
         self.rows
@@ -197,13 +206,11 @@ impl AdversaryTable {
     /// Entropies `H(Y_ω)` for many property values at once, sharded over
     /// contiguous vertex ranges.
     ///
-    /// Each chunk of vertices contributes partial column sums
-    /// `(Σ_v X_v(ω), Σ_v X_v(ω)·log₂ X_v(ω))` for every requested `ω`;
-    /// the partials are merged in chunk order and finalised with the same
-    /// `H = log₂ W − (Σ x log₂ x)/W` identity as
-    /// [`entropy_bits_normalized`], so the result is bit-identical for
-    /// every thread count (see [`Parallelism`]). Output is parallel to
-    /// `omegas`.
+    /// Each chunk of vertices contributes its [`ColumnPartials`] for the
+    /// requested `ω`, and the chunks are folded in chunk order by the
+    /// Definition 2 kernel ([`crate::definition2`]), so the result is
+    /// bit-identical for every thread count (see [`Parallelism`]). Output
+    /// is parallel to `omegas`.
     ///
     /// # Examples
     ///
@@ -222,50 +229,11 @@ impl AdversaryTable {
         if omegas.is_empty() {
             return Vec::new();
         }
-        // Per-chunk partial sums over a contiguous vertex range.
         let partials = par.map_chunks(self.rows.len(), |range| {
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for row in &self.rows[range] {
-                for (j, &omega) in omegas.iter().enumerate() {
-                    let x = row.get(omega).copied().unwrap_or(0.0);
-                    if x > 0.0 {
-                        mass[j] += x;
-                        xlogx[j] += x * x.log2();
-                    }
-                }
-            }
-            (mass, xlogx)
+            ColumnPartials::from_rows(&self.rows[range], omegas)
         });
-        // Merge in chunk order: the reduction tree is fixed regardless of
-        // which worker computed which chunk.
-        let mut mass = vec![0.0f64; omegas.len()];
-        let mut xlogx = vec![0.0f64; omegas.len()];
-        for (chunk_mass, chunk_xlogx) in partials {
-            for j in 0..omegas.len() {
-                mass[j] += chunk_mass[j];
-                xlogx[j] += chunk_xlogx[j];
-            }
-        }
-        mass.iter()
-            .zip(&xlogx)
-            .map(|(&w, &acc)| entropy_from_partials(w, acc))
-            .collect()
+        fold_entropies(&partials, 0..omegas.len())
     }
-}
-
-/// Result of checking Definition 2 on an uncertain graph against the
-/// original graph's degrees.
-#[derive(Debug, Clone)]
-pub struct ObfuscationCheck {
-    /// Entropy `H(Y_ω)` for each distinct original degree, as
-    /// `(degree, entropy)` pairs sorted by degree.
-    pub entropy_by_degree: Vec<(usize, f64)>,
-    /// Fraction of vertices *not* k-obfuscated (the ε̃ of Algorithm 2
-    /// line 20).
-    pub eps_achieved: f64,
-    /// Number of vertices not k-obfuscated.
-    pub failed_vertices: usize,
 }
 
 impl ObfuscationCheck {
@@ -294,93 +262,32 @@ impl ObfuscationCheck {
             published.num_vertices(),
             "vertex sets differ"
         );
-        if profile.num_vertices() == 0 {
-            assert!(k >= 1, "k must be at least 1");
-            return Self {
-                entropy_by_degree: Vec::new(),
-                eps_achieved: 0.0,
-                failed_vertices: 0,
-            };
-        }
         let entropies = published.entropies(profile.distinct(), par);
         Self::from_entropies(profile, entropies, k)
     }
-
-    /// Assembles the Definition 2 verdict from already-computed column
-    /// entropies (parallel to [`DegreeProfile::distinct`]). This is the
-    /// shared tail of every check front end — exhaustive, memoized, and
-    /// the scatter/gather path of `obf_cluster` all hand their entropies
-    /// to the same comparison and counting code, so a distributed check
-    /// that reproduces the entropy bits reproduces the verdict and ε̃
-    /// bits too.
-    pub fn from_entropies(profile: &DegreeProfile, entropies: Vec<f64>, k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert_eq!(
-            entropies.len(),
-            profile.distinct().len(),
-            "one entropy per distinct degree"
-        );
-        let n = profile.num_vertices();
-        if n == 0 {
-            return Self {
-                entropy_by_degree: Vec::new(),
-                eps_achieved: 0.0,
-                failed_vertices: 0,
-            };
-        }
-        let threshold = (k as f64).log2();
-        let entropy_by_degree: Vec<(usize, f64)> =
-            profile.distinct().iter().copied().zip(entropies).collect();
-        // Map degree -> pass/fail.
-        let mut pass = vec![false; profile.max_degree() + 1];
-        for &(d, h) in &entropy_by_degree {
-            pass[d] = h >= threshold - 1e-12;
-        }
-        let failed_vertices = profile.degrees().iter().filter(|&&d| !pass[d]).count();
-        Self {
-            entropy_by_degree,
-            eps_achieved: failed_vertices as f64 / n as f64,
-            failed_vertices,
-        }
-    }
-
-    /// Convenience: whether the published graph is a (k, ε)-obfuscation.
-    pub fn satisfies(&self, eps: f64) -> bool {
-        self.eps_achieved <= eps
-    }
 }
 
-/// The per-chunk entropy partials `(Σ_v X_v(ω), Σ_v X_v(ω)·log₂ X_v(ω))`
-/// over one contiguous vertex range, one pair of accumulators per
-/// requested `ω` — the scatter kernel of the distributed Definition 2
-/// check (`obf_cluster`).
+/// The per-chunk entropy partials over one contiguous vertex range, one
+/// column per requested `ω` — the scatter kernel of the distributed
+/// Definition 2 check (`obf_cluster`).
 ///
 /// Rows are derived on the fly with the same
 /// [`vertex_degree_distribution`] call that [`AdversaryTable::build_par`]
-/// uses, and the accumulation loop is ordered exactly like the chunk
-/// body of [`AdversaryTable::entropies`] (vertices ascending, then
-/// `omegas` in caller order). A coordinator that left-folds these
-/// per-chunk partials in global chunk order therefore reproduces the
-/// single-process entropy bits exactly, at any worker count.
+/// uses and accumulated by the same `ColumnPartials::from_rows` as
+/// [`AdversaryTable::entropies`]. A coordinator that folds these
+/// per-chunk partials with [`fold_entropies`] in global chunk order
+/// therefore reproduces the single-process entropy bits exactly, at any
+/// worker count.
 pub fn chunk_entropy_partials(
     g: &UncertainGraph,
     method: DegreeDistMethod,
     omegas: &[usize],
     vertices: std::ops::Range<usize>,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut mass = vec![0.0f64; omegas.len()];
-    let mut xlogx = vec![0.0f64; omegas.len()];
-    for v in vertices {
-        let row = vertex_degree_distribution(g, v as u32, method);
-        for (j, &omega) in omegas.iter().enumerate() {
-            let x = row.get(omega).copied().unwrap_or(0.0);
-            if x > 0.0 {
-                mass[j] += x;
-                xlogx[j] += x * x.log2();
-            }
-        }
-    }
-    (mass, xlogx)
+) -> ColumnPartials {
+    ColumnPartials::from_rows(
+        vertices.map(|v| vertex_degree_distribution(g, v as u32, method)),
+        omegas,
+    )
 }
 
 /// Per-vertex obfuscation levels `2^H(Y_{deg_G(v)})` for the anonymity
@@ -391,18 +298,13 @@ pub fn vertex_obfuscation_levels(
     published: &AdversaryTable,
     par: &Parallelism,
 ) -> Vec<f64> {
-    let n = original.num_vertices();
-    let degrees: Vec<usize> = (0..n as u32).map(|v| original.degree(v)).collect();
-    let mut distinct: Vec<usize> = degrees.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let entropies = published.entropies(&distinct, par);
-    let max_deg = distinct.last().copied().unwrap_or(0);
-    let mut level = vec![0.0f64; max_deg + 1];
-    for (&d, &h) in distinct.iter().zip(&entropies) {
+    let profile = DegreeProfile::new(original);
+    let entropies = published.entropies(profile.distinct(), par);
+    let mut level = vec![0.0f64; profile.max_degree() + 1];
+    for (&d, &h) in profile.distinct().iter().zip(&entropies) {
         level[d] = h.exp2();
     }
-    degrees.into_iter().map(|d| level[d]).collect()
+    profile.degrees().iter().map(|&d| level[d]).collect()
 }
 
 #[cfg(test)]
@@ -619,25 +521,17 @@ mod tests {
         for chunk_size in [1usize, 2, 3] {
             let par = Parallelism::sequential().with_chunk_size(chunk_size);
             let want = t.entropies(&omegas, &par);
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for c in 0..par.num_chunks(ug.num_vertices()) {
-                let (cm, cx) = chunk_entropy_partials(
-                    &ug,
-                    DegreeDistMethod::Exact,
-                    &omegas,
-                    par.chunk_range(ug.num_vertices(), c),
-                );
-                for j in 0..omegas.len() {
-                    mass[j] += cm[j];
-                    xlogx[j] += cx[j];
-                }
-            }
-            let got: Vec<f64> = mass
-                .iter()
-                .zip(&xlogx)
-                .map(|(&w, &acc)| entropy_from_partials(w, acc))
+            let chunks: Vec<ColumnPartials> = (0..par.num_chunks(ug.num_vertices()))
+                .map(|c| {
+                    chunk_entropy_partials(
+                        &ug,
+                        DegreeDistMethod::Exact,
+                        &omegas,
+                        par.chunk_range(ug.num_vertices(), c),
+                    )
+                })
                 .collect();
+            let got = fold_entropies(&chunks, 0..omegas.len());
             assert_eq!(got, want, "chunk_size={chunk_size}");
         }
     }

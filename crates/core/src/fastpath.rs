@@ -32,19 +32,21 @@
 //!   budget — or, when the caller does not need the exact ε̃, as soon as
 //!   it provably cannot.
 //!
-//! Every surviving floating-point operation is performed in the same
-//! order as the exhaustive [`ObfuscationCheck`](crate::ObfuscationCheck)
-//! path, so `satisfies` verdicts and completed-sweep ε̃ values are
-//! **bit-identical** (property-tested in `crates/core/tests`), and the
-//! chunk-ordered column reductions keep every result independent of the
-//! thread count (see [`Parallelism`]).
+//! The entropies, the column test and ε̃ come from the same Definition 2
+//! kernel ([`crate::definition2`]) as the exhaustive
+//! [`ObfuscationCheck`](crate::ObfuscationCheck) path; this module only
+//! supplies the rows and chooses which columns to sweep. `satisfies`
+//! verdicts and completed-sweep ε̃ values are therefore
+//! **bit-identical** to the exhaustive check (property-tested in
+//! `crates/core/tests`) and independent of the thread count (see
+//! [`Parallelism`]).
 
 use obf_graph::{splitmix64, FxHashMap, Parallelism};
-use obf_stats::entropy::entropy_from_partials;
 use obf_uncertain::degree_dist::{vertex_degree_distribution_capped, DegreeDistMethod};
 use obf_uncertain::UncertainGraph;
 
 use crate::adversary::DegreeProfile;
+use crate::definition2::{column_passes, failed_share, fold_entropies, ColumnPartials};
 
 /// Columns evaluated in the *first* batch of the budgeted sweep: small,
 /// because failing checks usually die on the first few rarest-degree
@@ -327,7 +329,11 @@ impl<'g> MemoizedAdversary<'g> {
     /// `X_v(ω)` for `ω ≤ cap`, materialising the class row on demand.
     /// Bit-identical to the same entry of the exhaustive
     /// [`AdversaryTable`](crate::AdversaryTable).
+    ///
+    /// # Panics
+    /// Panics if `omega > cap`.
     pub fn x(&mut self, v: u32, omega: usize, par: &Parallelism) -> f64 {
+        assert!(omega <= self.cap, "omega {omega} beyond cap {}", self.cap);
         self.ensure_columns(&[omega], par);
         match &self.rows[self.class_of[v as usize] as usize] {
             Some(row) => row.get(omega).copied().unwrap_or(0.0),
@@ -336,7 +342,7 @@ impl<'g> MemoizedAdversary<'g> {
     }
 
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
-    /// `omegas` — the same chunk-ordered `(Σx, Σx·log₂x)` reduction as
+    /// `omegas` — the same kernel accumulation and chunk-ordered fold as
     /// [`AdversaryTable::entropies`](crate::AdversaryTable::entropies),
     /// hence bit-identical to it for every thread count and any batching
     /// of the columns.
@@ -350,35 +356,15 @@ impl<'g> MemoizedAdversary<'g> {
         assert!(omegas.iter().all(|&w| w <= self.cap), "omega beyond cap");
         self.ensure_columns(omegas, par);
         let (rows, class_of) = (&self.rows, &self.class_of);
+        // Classes left unmaterialised have no support in any requested
+        // column: their entries are all zero and add nothing.
         let partials = par.map_chunks(class_of.len(), |range| {
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for v in range {
-                let Some(row) = rows[class_of[v] as usize].as_deref() else {
-                    continue; // row has no support in any requested column
-                };
-                for (j, &omega) in omegas.iter().enumerate() {
-                    let x = row.get(omega).copied().unwrap_or(0.0);
-                    if x > 0.0 {
-                        mass[j] += x;
-                        xlogx[j] += x * x.log2();
-                    }
-                }
-            }
-            (mass, xlogx)
+            ColumnPartials::from_rows(
+                range.filter_map(|v| rows[class_of[v] as usize].as_deref()),
+                omegas,
+            )
         });
-        let mut mass = vec![0.0f64; omegas.len()];
-        let mut xlogx = vec![0.0f64; omegas.len()];
-        for (chunk_mass, chunk_xlogx) in partials {
-            for j in 0..omegas.len() {
-                mass[j] += chunk_mass[j];
-                xlogx[j] += chunk_xlogx[j];
-            }
-        }
-        mass.iter()
-            .zip(&xlogx)
-            .map(|(&w, &acc)| entropy_from_partials(w, acc))
-            .collect()
+        fold_entropies(&partials, 0..omegas.len())
     }
 }
 
@@ -469,31 +455,28 @@ pub fn run_budgeted(
     );
     let n = profile.num_vertices();
     let columns_total = profile.distinct().len();
-    let exact = |failed: usize, evaluated: usize, support_only: usize| BudgetedCheck {
-        satisfies: n == 0 || failed as f64 / n as f64 <= eps,
-        eps_exact: Some(if n == 0 {
-            0.0
-        } else {
-            failed as f64 / n as f64
-        }),
-        failed_at_least: failed,
-        columns_evaluated: evaluated,
-        columns_total,
-        support_only_failures: support_only,
-        early_exit: false,
+    // `early` carries the verdict of a sweep that stopped before
+    // resolving every column; `None` means the count is exact.
+    let outcome = |failed: usize, evaluated: usize, support_only: usize, early: Option<bool>| {
+        let eps_exact = failed_share(failed, n);
+        BudgetedCheck {
+            satisfies: early.unwrap_or(eps_exact <= eps),
+            eps_exact: early.is_none().then_some(eps_exact),
+            failed_at_least: failed,
+            columns_evaluated: evaluated,
+            columns_total,
+            support_only_failures: support_only,
+            early_exit: early.is_some(),
+        }
     };
-    if n == 0 {
-        return exact(0, 0, 0);
-    }
     if k == 1 {
         // The threshold log₂ 1 = 0 never exceeds the (clamped, hence
         // non-negative) column entropies: every column passes, exactly
         // and without a sweep (`columns_evaluated = 0` records the
         // shortcut; this is a fully resolved verdict, not an early exit).
-        return exact(0, 0, 0);
+        return outcome(0, 0, 0, None);
     }
     let budget = fail_budget(n, eps);
-    let threshold = (k as f64).log2();
     let mut failed = 0usize;
     let mut support_only = 0usize;
     // Zero-DP precheck: H(Y_ω) <= log₂|supp(Y_ω)| < log₂ k whenever the
@@ -513,29 +496,13 @@ pub fn run_budgeted(
     let mut batch_columns = SWEEP_BATCH_COLUMNS;
     loop {
         if remaining == 0 {
-            return exact(failed, evaluated, support_only);
+            return outcome(failed, evaluated, support_only, None);
         }
         if failed > budget {
-            return BudgetedCheck {
-                satisfies: false,
-                eps_exact: None,
-                failed_at_least: failed,
-                columns_evaluated: evaluated,
-                columns_total,
-                support_only_failures: support_only,
-                early_exit: true,
-            };
+            return outcome(failed, evaluated, support_only, Some(false));
         }
         if !need_exact && failed + remaining <= budget {
-            return BudgetedCheck {
-                satisfies: true,
-                eps_exact: None,
-                failed_at_least: failed,
-                columns_evaluated: evaluated,
-                columns_total,
-                support_only_failures: support_only,
-                early_exit: true,
-            };
+            return outcome(failed, evaluated, support_only, Some(true));
         }
         let batch = &pending[evaluated..(evaluated + batch_columns).min(pending.len())];
         batch_columns = (batch_columns * 2).min(SWEEP_BATCH_MAX_COLUMNS);
@@ -544,9 +511,7 @@ pub fn run_budgeted(
         for (&i, &h) in batch.iter().zip(&entropies) {
             evaluated += 1;
             remaining -= profile.multiplicity()[i];
-            // The same pass condition (and tolerance) as the exhaustive
-            // check — bit-identical verdicts per column.
-            if h < threshold - 1e-12 {
+            if !column_passes(h, k) {
                 failed += profile.multiplicity()[i];
             }
         }
@@ -591,6 +556,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond cap")]
+    fn memoized_entry_past_cap_rejected() {
+        // The truncated rows cannot answer ω > cap: x must refuse, like
+        // entropies and support_count, instead of reporting 0.
+        let (_, ug) = paper_pair();
+        let par = Parallelism::sequential();
+        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 2, &par);
+        let _ = memo.x(0, 3, &par);
     }
 
     #[test]
@@ -664,22 +640,29 @@ mod tests {
 
     #[test]
     fn budgeted_matches_exhaustive_on_paper_example() {
-        let (g, ug) = paper_pair();
-        let par = Parallelism::sequential();
-        let profile = DegreeProfile::new(&g);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        for k in 1..=4usize {
-            for eps in [0.0, 0.2, 0.25, 0.5, 0.75] {
-                let check = ObfuscationCheck::run(&g, &table, k, &par);
-                for need_exact in [false, true] {
-                    let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
-                    let v = run_budgeted(&profile, &mut memo, k, eps, need_exact, &par);
-                    assert_eq!(v.satisfies, check.satisfies(eps), "k={k} eps={eps}");
-                    if let Some(e) = v.eps_exact {
-                        assert_eq!(e, check.eps_achieved, "k={k} eps={eps}");
-                        assert_eq!(v.failed_at_least, check.failed_vertices);
-                    } else {
-                        assert!(v.early_exit);
+        // The paper pair, plus the empty graph (n = 0); k = 1 is in the
+        // k range.
+        let empty = (Graph::empty(0), UncertainGraph::new(0, vec![]).unwrap());
+        for (g, ug) in [paper_pair(), empty] {
+            let par = Parallelism::sequential();
+            let profile = DegreeProfile::new(&g);
+            let cap = profile.max_degree();
+            let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+            let n = g.num_vertices();
+            for k in 1..=4usize {
+                for eps in [0.0, 0.2, 0.25, 0.5, 0.75] {
+                    let check = ObfuscationCheck::run(&g, &table, k, &par);
+                    for need_exact in [false, true] {
+                        let mut memo =
+                            MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, cap, &par);
+                        let v = run_budgeted(&profile, &mut memo, k, eps, need_exact, &par);
+                        assert_eq!(v.satisfies, check.satisfies(eps), "n={n} k={k} eps={eps}");
+                        if let Some(e) = v.eps_exact {
+                            assert_eq!(e, check.eps_achieved, "n={n} k={k} eps={eps}");
+                            assert_eq!(v.failed_at_least, check.failed_vertices);
+                        } else {
+                            assert!(v.early_exit);
+                        }
                     }
                 }
             }

@@ -16,7 +16,11 @@
 //!    perturbations with `q` white noise; Algorithm 1: doubling plus
 //!    binary search for the minimal global `σ`.
 //! 3. [`adversary`] — the matrices `X_v(ω)` and `Y_ω(v)` (Eqs. 2–3) and
-//!    the entropy test that certifies (k, ε)-obfuscation (Section 4).
+//!    the entropy test that certifies (k, ε)-obfuscation (Section 4),
+//!    computed by the one Definition 2 kernel in [`definition2`]: the
+//!    chunk-ordered entropy fold, the column test and the verdict that
+//!    every check front end (exhaustive, fast path, `obf_evolve`,
+//!    `obf_cluster`) shares.
 //! 4. [`fastpath`] — the σ-search fast path: memoized, support-truncated
 //!    lazy adversary rows plus the budgeted early-exit Definition 2
 //!    sweep, bit-identical to the exhaustive check but doing only the
@@ -42,6 +46,7 @@
 pub mod adversary;
 pub mod algorithm;
 pub mod commonness;
+pub mod definition2;
 pub mod fastpath;
 pub mod property;
 
@@ -52,5 +57,6 @@ pub use algorithm::{
     SearchPhase, SigmaCandidateStats, SigmaSearchStats, TrialStats,
 };
 pub use commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
+pub use definition2::{fold_entropies, ColumnPartials};
 pub use fastpath::{fail_budget, run_budgeted, BudgetedCheck, MemoizedAdversary};
 pub use property::{DegreeProperty, VertexProperty};

@@ -3,55 +3,45 @@
 //! An edge batch only changes the incident-probability rows — and hence
 //! the degree distributions `X_v(ω)` (Lemma 1) — of its endpoint
 //! vertices. Everything else the check consumes is a *column* reduction
-//! over those rows: the entropy of `Y_ω` needs `(Σ_v X_v(ω),
-//! Σ_v X_v(ω)·log₂ X_v(ω))`. So a republish only has to
+//! over those rows, done by the Definition 2 kernel of
+//! [`obf_core::definition2`]. So a republish only has to
 //!
-//! 1. re-derive the rows of the touched endpoints, and
-//! 2. patch the column accumulators.
+//! 1. re-derive the rows of the touched endpoints in the
+//!    [`AdversaryTable`] it holds, and
+//! 2. rebuild the kernel's [`ColumnPartials`] of the chunks they fall in.
 //!
 //! Floating-point subtraction is not exact, so "subtract the old row,
 //! add the new row" on a flat accumulator would drift from a
-//! from-scratch build. Instead the accumulators are kept **per chunk**
-//! of the engine's fixed chunk decomposition ([`Parallelism`]): a patch
+//! from-scratch build. Instead the partials are kept **per chunk** of the
+//! engine's fixed chunk decomposition ([`Parallelism`]): a patch
 //! recomputes, in full, only the partials of chunks containing touched
 //! vertices — the old rows' contributions are *replaced*, never
-//! subtracted — and a query merges the per-chunk partials in chunk
-//! order, exactly like
-//! [`MemoizedAdversary::entropies`](obf_core::MemoizedAdversary) and
-//! [`AdversaryTable::entropies`](obf_core::AdversaryTable). Every
-//! surviving operation therefore runs in the same order as a
-//! from-scratch build, and the entropies — and the (k, ε) verdict — are
-//! **bit-identical** to it at any thread count (property-tested in
-//! `crates/evolve/tests`).
+//! subtracted — and a query hands the stored partials to the kernel's
+//! chunk-ordered fold ([`fold_entropies`]), exactly as
+//! [`AdversaryTable::entropies`] does after its own chunk pass. The
+//! entropies, and the [`ObfuscationCheck`] verdict, are therefore
+//! **bit-identical** to a from-scratch check at any thread count
+//! (property-tested in `crates/evolve/tests`).
 
-use obf_core::DegreeProfile;
+use obf_core::{fold_entropies, AdversaryTable, ColumnPartials, DegreeProfile, ObfuscationCheck};
 use obf_graph::Parallelism;
-use obf_stats::entropy::entropy_from_partials;
 use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::UncertainGraph;
-
-/// Per-chunk column partials: `mass[ω] = Σ_v X_v(ω)` and
-/// `xlogx[ω] = Σ_v X_v(ω)·log₂ X_v(ω)` over the chunk's vertices, for
-/// every `ω ≤ omega_cap`.
-#[derive(Debug, Clone, Default)]
-struct ChunkPartials {
-    mass: Vec<f64>,
-    xlogx: Vec<f64>,
-}
 
 /// Maintained adversary state of one published release: every `X_v` row
 /// plus chunk-ordered entropy partials, patchable per delta batch.
 #[derive(Debug, Clone)]
 pub struct IncrementalAdversary {
     method: DegreeDistMethod,
-    /// Chunk decomposition the partials are kept under — fixed at build
-    /// time so patched and from-scratch reductions share one merge tree.
-    chunk_size: usize,
-    /// Full (untruncated) degree-distribution rows, one per vertex.
-    rows: Vec<Vec<f64>>,
+    /// Chunk decomposition the partials are kept under (only its chunk
+    /// size matters) — fixed at build time so patched and from-scratch
+    /// reductions share one merge tree.
+    layout: Parallelism,
+    /// Full (untruncated) degree-distribution rows of the release.
+    table: AdversaryTable,
     /// Partials per chunk of `0..n`, each covering `ω ∈ 0..=omega_cap`.
-    chunks: Vec<ChunkPartials>,
-    /// Largest ω any accumulator covers; grows when a batch raises a
+    chunks: Vec<ColumnPartials>,
+    /// Largest ω any partial covers; grows when a batch raises a
     /// vertex's incident-candidate count past it, never shrinks.
     omega_cap: usize,
     rows_built: u64,
@@ -64,28 +54,30 @@ impl IncrementalAdversary {
     /// reduction granularity for the lifetime of this value.
     pub fn build(g: &UncertainGraph, method: DegreeDistMethod, par: &Parallelism) -> Self {
         let n = g.num_vertices();
-        let rows: Vec<Vec<f64>> =
-            par.map_collect(n, |v| vertex_degree_distribution(g, v as u32, method));
-        let omega_cap = rows.iter().map(|r| r.len() - 1).max().unwrap_or(0);
+        let table = AdversaryTable::build_par(g, method, par);
+        let omega_cap = (0..n as u32)
+            .map(|v| table.row(v).len() - 1)
+            .max()
+            .unwrap_or(0);
         let mut out = Self {
             method,
-            chunk_size: par.chunk_size(),
-            rows,
+            layout: Parallelism::sequential().with_chunk_size(par.chunk_size()),
+            table,
             chunks: Vec::new(),
             omega_cap,
             rows_built: n as u64,
             rows_patched: 0,
         };
-        out.chunks = par.map_chunks(n, |range| out.accumulate(range.start, range.end, 0));
+        out.chunks = par.map_chunks(n, |range| out.partials(range, 0));
         out
     }
 
     /// Number of vertices (rows).
     pub fn num_vertices(&self) -> usize {
-        self.rows.len()
+        self.table.num_vertices()
     }
 
-    /// Largest column index the accumulators cover.
+    /// Largest column index the partials cover.
     pub fn omega_cap(&self) -> usize {
         self.omega_cap
     }
@@ -101,30 +93,19 @@ impl IncrementalAdversary {
         self.rows_patched
     }
 
-    /// Column partials over `vertices[from..to]` for `ω ∈ from_omega..=
-    /// omega_cap`: the exact accumulation loop of the from-scratch
-    /// entropy sweeps (vertex-ascending within the chunk, `x > 0` mass
-    /// only).
-    fn accumulate(&self, from: usize, to: usize, from_omega: usize) -> ChunkPartials {
-        let width = self.omega_cap + 1 - from_omega;
-        let mut mass = vec![0.0f64; width];
-        let mut xlogx = vec![0.0f64; width];
-        for row in &self.rows[from..to] {
-            let hi = row.len().min(self.omega_cap + 1);
-            for (j, &x) in row[from_omega.min(hi)..hi].iter().enumerate() {
-                if x > 0.0 {
-                    mass[j] += x;
-                    xlogx[j] += x * x.log2();
-                }
-            }
-        }
-        ChunkPartials { mass, xlogx }
+    /// Kernel partials over `vertices` for the columns
+    /// `from_omega..=omega_cap`, visiting only each row's stored entries.
+    fn partials(&self, vertices: std::ops::Range<usize>, from_omega: usize) -> ColumnPartials {
+        ColumnPartials::from_row_spans(
+            vertices.map(|v| self.table.row(v as u32)),
+            from_omega,
+            self.omega_cap + 1 - from_omega,
+        )
     }
 
-    /// The fixed chunk decomposition (same rule as
-    /// [`Parallelism::chunk_ranges`], captured at build time).
-    fn chunk_of(&self, v: usize) -> usize {
-        v / self.chunk_size
+    /// The vertices of stored chunk `c`.
+    fn chunk_vertices(&self, c: usize) -> std::ops::Range<usize> {
+        self.layout.chunk_range(self.num_vertices(), c)
     }
 
     /// Patches the state for a new release of the published graph.
@@ -142,7 +123,7 @@ impl IncrementalAdversary {
     pub fn patch(&mut self, g: &UncertainGraph, touched: &[u32], par: &Parallelism) {
         assert_eq!(
             g.num_vertices(),
-            self.rows.len(),
+            self.num_vertices(),
             "evolving releases share one vertex set"
         );
         if touched.is_empty() {
@@ -150,38 +131,31 @@ impl IncrementalAdversary {
         }
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
         // 1. Re-derive the touched rows (sharded; deterministic order).
+        // Every untouched row already fits under the cap, so only the
+        // fresh rows can raise it.
         let method = self.method;
         let fresh: Vec<Vec<f64>> = par.map_collect(touched.len(), |i| {
             vertex_degree_distribution(g, touched[i], method)
         });
+        let old_cap = self.omega_cap;
         for (&v, row) in touched.iter().zip(fresh) {
-            self.rows[v as usize] = row;
+            self.omega_cap = self.omega_cap.max(row.len() - 1);
+            self.table.set_row(v, row);
         }
         self.rows_built += touched.len() as u64;
         self.rows_patched += touched.len() as u64;
 
-        // 2. Grow the accumulators if a row now reaches past the cap.
+        // 2. Grow the partials if a row now reaches past the old cap.
         // The extension columns are accumulated for *every* chunk from
         // the (already current) rows; untouched chunks keep their old
-        // prefix — those sums are unchanged by construction.
-        let new_cap = self
-            .rows
-            .iter()
-            .map(|r| r.len() - 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.omega_cap);
-        if new_cap > self.omega_cap {
-            let from_omega = self.omega_cap + 1;
-            self.omega_cap = new_cap;
-            // One extension per *stored* chunk — the build-time
-            // decomposition, never the caller's (a `par` with a
-            // different chunk size only changes how the work is
-            // dispatched, not which ranges are accumulated).
-            let n = self.rows.len();
-            let chunk_size = self.chunk_size;
-            let extensions: Vec<ChunkPartials> = par.map_collect(self.chunks.len(), |c| {
-                self.accumulate(c * chunk_size, ((c + 1) * chunk_size).min(n), from_omega)
+        // prefix — those sums are unchanged by construction. One
+        // extension per *stored* chunk — the build-time decomposition,
+        // never the caller's (a `par` with a different chunk size only
+        // changes how the work is dispatched, not which ranges are
+        // accumulated).
+        if self.omega_cap > old_cap {
+            let extensions: Vec<ColumnPartials> = par.map_collect(self.chunks.len(), |c| {
+                self.partials(self.chunk_vertices(c), old_cap + 1)
             });
             for (chunk, ext) in self.chunks.iter_mut().zip(extensions) {
                 chunk.mass.extend(ext.mass);
@@ -192,13 +166,13 @@ impl IncrementalAdversary {
         // 3. Recompute the partials of every chunk containing a touched
         // vertex — full replacement, no subtraction, so the per-column
         // accumulation chain is the same one a fresh build would run.
-        let mut dirty: Vec<usize> = touched.iter().map(|&v| self.chunk_of(v as usize)).collect();
+        let mut dirty: Vec<usize> = touched
+            .iter()
+            .map(|&v| v as usize / self.layout.chunk_size())
+            .collect();
         dirty.dedup(); // touched is sorted, so chunk ids arrive sorted
-        let n = self.rows.len();
-        let chunk_size = self.chunk_size;
-        let recomputed: Vec<ChunkPartials> = par.map_collect(dirty.len(), |i| {
-            let c = dirty[i];
-            self.accumulate(c * chunk_size, ((c + 1) * chunk_size).min(n), 0)
+        let recomputed: Vec<ColumnPartials> = par.map_collect(dirty.len(), |i| {
+            self.partials(self.chunk_vertices(dirty[i]), 0)
         });
         for (&c, partials) in dirty.iter().zip(recomputed) {
             self.chunks[c] = partials;
@@ -206,93 +180,34 @@ impl IncrementalAdversary {
     }
 
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
-    /// `omegas` — the chunk-order merge of the maintained partials,
-    /// bit-identical to
-    /// [`AdversaryTable::entropies`](obf_core::AdversaryTable::entropies)
-    /// over the same graph and chunk size.
+    /// `omegas` — the kernel's chunk-order fold of the maintained
+    /// partials, bit-identical to [`AdversaryTable::entropies`] over the
+    /// same graph and chunk size.
     ///
     /// Columns beyond [`IncrementalAdversary::omega_cap`] have no
     /// support anywhere and report entropy 0, like every other empty
     /// column.
     pub fn entropies(&self, omegas: &[usize]) -> Vec<f64> {
-        omegas
-            .iter()
-            .map(|&omega| {
-                if omega > self.omega_cap {
-                    return entropy_from_partials(0.0, 0.0);
-                }
-                let mut mass = 0.0f64;
-                let mut xlogx = 0.0f64;
-                for chunk in &self.chunks {
-                    mass += chunk.mass[omega];
-                    xlogx += chunk.xlogx[omega];
-                }
-                entropy_from_partials(mass, xlogx)
-            })
-            .collect()
+        fold_entropies(&self.chunks, omegas.iter().copied())
     }
 
     /// The Definition 2 verdict against the original graph's degree
-    /// profile: the same sweep as
-    /// [`ObfuscationCheck::run_with_profile`](obf_core::ObfuscationCheck::run_with_profile),
-    /// producing a bit-identical ε̃ and failed-vertex count.
-    pub fn check(&self, profile: &DegreeProfile, k: usize) -> IncrementalCheck {
+    /// profile, bit-identical to
+    /// [`ObfuscationCheck::run_with_profile`] on a from-scratch table.
+    pub fn check(&self, profile: &DegreeProfile, k: usize) -> ObfuscationCheck {
         assert_eq!(
             profile.num_vertices(),
-            self.rows.len(),
+            self.num_vertices(),
             "vertex sets differ"
         );
-        assert!(k >= 1, "k must be at least 1");
-        let n = profile.num_vertices();
-        if n == 0 {
-            return IncrementalCheck {
-                entropy_by_degree: Vec::new(),
-                eps_achieved: 0.0,
-                failed_vertices: 0,
-            };
-        }
-        let distinct = profile.distinct();
-        let entropies = self.entropies(distinct);
-        let threshold = (k as f64).log2();
-        let entropy_by_degree: Vec<(usize, f64)> =
-            distinct.iter().copied().zip(entropies).collect();
-        let mut pass = vec![false; profile.max_degree() + 1];
-        for &(d, h) in &entropy_by_degree {
-            pass[d] = h >= threshold - 1e-12;
-        }
-        let failed_vertices = profile.degrees().iter().filter(|&&d| !pass[d]).count();
-        IncrementalCheck {
-            entropy_by_degree,
-            eps_achieved: failed_vertices as f64 / n as f64,
-            failed_vertices,
-        }
-    }
-}
-
-/// Result of an incremental Definition 2 check — the same fields as
-/// [`ObfuscationCheck`](obf_core::ObfuscationCheck), produced from the
-/// patched accumulators.
-#[derive(Debug, Clone)]
-pub struct IncrementalCheck {
-    /// `(degree, H(Y_degree))` pairs sorted by degree.
-    pub entropy_by_degree: Vec<(usize, f64)>,
-    /// Fraction of vertices not k-obfuscated.
-    pub eps_achieved: f64,
-    /// Number of vertices not k-obfuscated.
-    pub failed_vertices: usize,
-}
-
-impl IncrementalCheck {
-    /// Whether the release satisfies (k, ε)-obfuscation at this ε.
-    pub fn satisfies(&self, eps: f64) -> bool {
-        self.eps_achieved <= eps
+        ObfuscationCheck::from_entropies(profile, self.entropies(profile.distinct()), k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obf_core::{AdversaryTable, MemoizedAdversary, ObfuscationCheck};
+    use obf_core::MemoizedAdversary;
     use obf_graph::Graph;
 
     fn published() -> UncertainGraph {
@@ -393,19 +308,24 @@ mod tests {
 
     #[test]
     fn check_matches_obfuscation_check() {
+        // The toy release, plus the empty graph (n = 0); k = 1 is in the
+        // k range.
         let original = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (2, 3), (4, 5)]);
-        let g = published();
-        let par = Parallelism::sequential();
-        let inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
-        let table = AdversaryTable::build(&g, DegreeDistMethod::Exact);
-        let profile = DegreeProfile::new(&original);
-        for k in 1..=4 {
-            let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
-            let got = inc.check(&profile, k);
-            assert_eq!(got.eps_achieved, want.eps_achieved, "k={k}");
-            assert_eq!(got.failed_vertices, want.failed_vertices);
-            assert_eq!(got.entropy_by_degree, want.entropy_by_degree);
-            assert_eq!(got.satisfies(0.2), want.satisfies(0.2));
+        let empty = (Graph::empty(0), UncertainGraph::new(0, vec![]).unwrap());
+        for (original, g) in [(original, published()), empty] {
+            let par = Parallelism::sequential();
+            let inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
+            let table = AdversaryTable::build(&g, DegreeDistMethod::Exact);
+            let profile = DegreeProfile::new(&original);
+            let n = g.num_vertices();
+            for k in 1..=4 {
+                let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+                let got = inc.check(&profile, k);
+                assert_eq!(got.eps_achieved, want.eps_achieved, "n={n} k={k}");
+                assert_eq!(got.failed_vertices, want.failed_vertices);
+                assert_eq!(got.entropy_by_degree, want.entropy_by_degree);
+                assert_eq!(got.satisfies(0.2), want.satisfies(0.2));
+            }
         }
     }
 

@@ -12,8 +12,10 @@
 //! * [`IncrementalAdversary`] — the patched Definition 2 check: an edge
 //!   batch only changes the degree distributions of its endpoint
 //!   vertices, so only those Lemma 1 rows are re-derived, and the
-//!   per-chunk entropy accumulators of the touched chunks are replaced
-//!   — bit-identical to a from-scratch build at any thread count;
+//!   stored per-chunk partials of the touched chunks are rebuilt. The
+//!   accumulation, fold and verdict are `obf_core`'s one Definition 2
+//!   kernel ([`obf_core::definition2`]), so the patched check is
+//!   bit-identical to a from-scratch build at any thread count;
 //! * [`Republisher`] — delta in, (k, ε)-certified release out: the
 //!   patched check at the previous σ usually suffices; otherwise the σ
 //!   search re-runs warm-started from the previous minimal σ.
@@ -50,6 +52,6 @@ pub mod incremental;
 pub mod log;
 pub mod republish;
 
-pub use incremental::{IncrementalAdversary, IncrementalCheck};
+pub use incremental::IncrementalAdversary;
 pub use log::{DeltaLog, DeltaLogError, DELTA_LOG_MAGIC, DELTA_LOG_VERSION};
 pub use republish::{EvolveParams, RepublishError, RepublishReport, Republisher};

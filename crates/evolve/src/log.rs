@@ -370,7 +370,7 @@ mod tests {
         for (text, want_line) in cases {
             match DeltaLog::read(text.as_bytes()) {
                 Err(DeltaLogError::Invalid { line, .. }) => {
-                    assert_eq!(line, *want_line, "log {text:?}")
+                    assert_eq!(line, *want_line, "log {text:?}");
                 }
                 other => panic!("log {text:?} gave {other:?}"),
             }

@@ -86,14 +86,10 @@ fn arb_uncertain_and_delta() -> impl Strategy<Value = (UncertainGraph, Vec<(u32,
                 if !picked.insert((lo, hi)) {
                     continue;
                 }
-                let change = match (kind % 4, g.is_candidate(lo, hi)) {
-                    (0, true) => Some((lo, hi, None)),     // remove
-                    (_, true) => Some((lo, hi, Some(p))),  // overwrite
-                    (_, false) => Some((lo, hi, Some(p))), // insert
-                };
-                if let Some(c) = change {
-                    changes.push(c);
-                }
+                changes.push(match (kind % 4, g.is_candidate(lo, hi)) {
+                    (0, true) => (lo, hi, None), // remove
+                    _ => (lo, hi, Some(p)),      // overwrite or insert
+                });
             }
             changes.sort_by_key(|&(u, v, _)| (u, v));
             (g, changes)
