@@ -77,9 +77,8 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "Wall-clock reads, OS entropy and process ids are nondeterministic inputs. \
                     One call inside a digest-affecting path breaks fixed-seed reproducibility in \
                     a way equivalence tests only catch if they happen to race it. Timing belongs \
-                    in the bench crate and the allowlisted server-timing modules \
-                    (server::event_loop idle reaping, cluster::fleet drain deadlines); test code \
-                    is exempt.",
+                    in the bench crate and the allowlisted server-timing module \
+                    (server::event_loop idle reaping and drain deadlines); test code is exempt.",
         example: "let t0 = Instant::now();        // flagged outside the allowlist\n\
                   cand.secs = t0.elapsed()…       // fine *with a pragma* when the value feeds\n\
                                                   // only wall-clock stats excluded from digests",
@@ -123,8 +122,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "wire/snapshot/protocol surface is documented in docs/FORMATS.md (P1)",
         rationale: "docs/FORMATS.md is the normative spec for every on-disk and on-wire format. \
                     This rule lexes the ground truth out of the source — server verbs from \
-                    Request::parse, fleet admin verbs from the router dispatch, snapshot \
-                    version constants and magics, the cluster wire version and message enum \
+                    Request::parse, snapshot version constants and magics, the cluster wire version and message enum \
                     variants — and fails when the spec has fallen behind. (Subsumes the retired \
                     scripts/check_formats_docs.sh.)",
         example: "Adding `\"FROBNICATE\" => Request::Frobnicate` to protocol.rs without a \
@@ -165,14 +163,12 @@ const DIGEST_CRATES: &[&str] = &[
 /// Modules allowed to read wall clocks / process ids: the bench
 /// harness (timing is its job), the observability crate (spans and
 /// request-log timestamps are its job, and concentrating time reads
-/// there is how they stay quarantined) and the two server-timing
-/// modules (idle reaping, drain deadlines) whose readings never feed
-/// answers.
+/// there is how they stay quarantined) and the event loop (idle
+/// reaping, drain deadlines), whose readings never feed answers.
 const WALL_CLOCK_ALLOWED: &[&str] = &[
     "crates/bench/",
     "crates/obs/",
     "crates/server/src/event_loop.rs",
-    "crates/cluster/src/fleet.rs",
 ];
 
 /// The audited-module registry for `unsafe` (rule D3). Extending this
@@ -572,7 +568,6 @@ pub fn check_float_reduce(file: &SourceFile) -> Vec<Finding> {
 /// The format-bearing sources P1 lexes its ground truth from.
 pub const FORMAT_SOURCES: &[&str] = &[
     "crates/server/src/protocol.rs",
-    "crates/cluster/src/fleet.rs",
     "crates/cluster/src/wire.rs",
     "crates/uncertain/src/snapshot.rs",
     "crates/evolve/src/log.rs",
@@ -612,12 +607,6 @@ pub fn check_formats_doc(files: &[SourceFile], formats_md: Option<&str>) -> Vec<
     if let Some(f) = by_path("crates/server/src/protocol.rs") {
         for (verb, line) in verb_arms(f) {
             require(&verb, &f.rel_path, line, "server verb");
-        }
-    }
-    // Fleet admin verbs: the router's dispatch arms.
-    if let Some(f) = by_path("crates/cluster/src/fleet.rs") {
-        for (verb, line) in verb_arms(f) {
-            require(&verb, &f.rel_path, line, "fleet verb");
         }
     }
     // Snapshot versions + magic.
@@ -868,10 +857,10 @@ mod tests {
     fn verb_arms_handle_alternation_and_skip_tests() {
         let f = src(
             "crates/server/src/protocol.rs",
-            "fn p(s: &str) {\n  match s {\n    \"PING\" => 1,\n    \"DRAIN\" | \"UNDRAIN\" => 2,\n    \"lowercase\" => 3,\n    _ => 0,\n  };\n}\n#[cfg(test)]\nmod tests {\n  fn t() { let _ = match \"x\" { \"TESTONLY\" => 1, _ => 0 }; }\n}\n",
+            "fn p(s: &str) {\n  match s {\n    \"PING\" => 1,\n    \"HEALTH\" | \"RELOAD\" => 2,\n    \"lowercase\" => 3,\n    _ => 0,\n  };\n}\n#[cfg(test)]\nmod tests {\n  fn t() { let _ = match \"x\" { \"TESTONLY\" => 1, _ => 0 }; }\n}\n",
         );
         let verbs: Vec<String> = verb_arms(&f).into_iter().map(|(v, _)| v).collect();
-        assert_eq!(verbs, vec!["DRAIN", "PING", "UNDRAIN"]);
+        assert_eq!(verbs, vec!["HEALTH", "PING", "RELOAD"]);
     }
 
     #[test]

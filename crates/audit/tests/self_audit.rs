@@ -98,8 +98,7 @@ fn format_surfaces_are_extracted_not_vacuous() {
         .collect();
     for surface in [
         "`PING`",          // server verb
-        "`RELOAD`",        // server + fleet verb
-        "`FLEET_STATS`",   // fleet verb
+        "`RELOAD`",        // server verb
         "`v3`",            // snapshot version
         "`OBFUSNAP`",      // snapshot magic
         "`OBFUDELTA`",     // delta-log magic

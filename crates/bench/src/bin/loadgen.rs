@@ -13,10 +13,8 @@
 //! 64-query probe script (a pure function of the seed) and folds every
 //! `(query, answer)` pair into an FNV digest. Two runs with the same
 //! `--seed` report the bit-identical `answers_digest` — throughput and
-//! latency may differ, the answers may not. `--fleet N` serves the same
-//! graph from N replicas behind the `obf_cluster` router instead of one
-//! server; the digest must survive that path too, and `--expect-digest`
-//! turns a drift into a non-zero exit.
+//! latency may differ, the answers may not. `--expect-digest` turns a
+//! drift into a non-zero exit.
 //!
 //! Observability: `--request-log <path>` makes the in-process server
 //! append an `OBFUREQLOG v1` record per answered request, and
@@ -33,9 +31,8 @@ use std::time::{Duration, Instant};
 use obf_bench::json::Json;
 use obf_bench::traffic::{field_f64, mixed_query, parse_duration, percentile_ms, probe_digest};
 use obf_bench::HarnessConfig;
-use obf_cluster::{Fleet, RouterConfig};
 use obf_datasets::Dataset;
-use obf_server::{Client, Server, ServerConfig};
+use obf_server::{Client, Request, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
 use rand::rngs::SmallRng;
@@ -43,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 const USAGE: &str = "usage:
   loadgen [--connections 4] [--duration 5s] [--addr host:port] [--probe 64]
-          [--fleet 0] [--expect-digest <hex>]
+          [--expect-digest <hex>]
           [--open-loop-points 6] [--open-loop-secs 600ms]
           [--request-log <path>] [--replay <log>]
 options:
@@ -51,39 +48,17 @@ options:
   --duration <D>           timed-phase length, e.g. 5s / 2.5s / 500ms (default 5s)
   --addr <host:port>       drive an external server instead of an in-process one
   --probe <N>              probe-script length for the determinism digest (default 64)
-  --fleet <N>              serve from N in-process replicas behind the obf_cluster
-                           router instead of one server (0 = single server, default)
   --expect-digest <hex>    exit non-zero unless answers_digest equals this value
   --open-loop-points <N>   offered-load sweep points after the closed-loop
                            phase, 0 disables the sweep (default 6)
   --open-loop-secs <D>     offered-arrival window per sweep point (default 600ms)
   --request-log <path>     the in-process server appends an OBFUREQLOG v1 record
-                           per answered request (fleet mode: replica i writes
-                           <path>.i); conflicts with --addr
+                           per answered request; conflicts with --addr
   --replay <log>           re-drive a recorded OBFUREQLOG v1 log as the timed
                            traffic (admin verbs are skipped; --duration and the
                            open-loop sweep do not apply; results go to
                            results/BENCH_replay.json with a replay_digest over
                            the (request, reply) pairs in log order)";
-
-/// What answers the traffic: an in-process single server, an
-/// in-process replica fleet behind the router, or something external
-/// we only know by address.
-enum Backend {
-    Single(Server),
-    Fleet(Fleet),
-    External,
-}
-
-impl Backend {
-    fn shutdown(self) {
-        match self {
-            Backend::Single(server) => server.shutdown(),
-            Backend::Fleet(fleet) => fleet.shutdown(),
-            Backend::External => {}
-        }
-    }
-}
 
 fn main() {
     if obf_bench::help_requested() {
@@ -116,21 +91,12 @@ fn main() {
         None => Duration::from_millis(600),
         Some(v) => parse_duration(&v).unwrap_or_else(|| bad_flag("--open-loop-secs", &v)),
     };
-    let fleet_replicas = match arg_value("--fleet") {
-        None => 0usize,
-        Some(v) => v.parse().unwrap_or_else(|_| bad_flag("--fleet", &v)),
-    };
     let expect_digest = arg_value("--expect-digest");
     let external_addr = arg_value("--addr");
     let request_log = arg_value("--request-log");
     let replay_path = arg_value("--replay");
     if connections == 0 {
         bad_flag("--connections", "0");
-    }
-    if fleet_replicas > 0 && external_addr.is_some() {
-        eprintln!("error: --fleet launches in-process replicas and conflicts with --addr");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
     }
     if request_log.is_some() && external_addr.is_some() {
         eprintln!(
@@ -154,8 +120,8 @@ fn main() {
         let total = entries.len();
         let lines: Vec<String> = entries
             .iter()
-            .filter(|e| is_replayable_verb(&e.verb))
             .map(|e| e.request_line())
+            .filter(|line| is_replayable(line))
             .collect();
         if lines.is_empty() {
             eprintln!("loadgen: {path}: no replayable requests (admin verbs are skipped)");
@@ -175,7 +141,7 @@ fn main() {
     // external mode (`--addr`) measures only the server it was pointed
     // at — synthesising a local graph there would record stats about a
     // graph that was never served.
-    let (backend, load_timing) = if external_addr.is_none() {
+    let (server, load_timing) = if external_addr.is_none() {
         let scale = if std::env::var("OBF_SCALE").is_ok() {
             cfg.scale
         } else {
@@ -207,26 +173,16 @@ fn main() {
             request_log: request_log.as_ref().map(std::path::PathBuf::from),
             ..ServerConfig::default()
         };
-        let backend = if fleet_replicas > 0 {
-            let fleet = Fleet::launch(graph, fleet_replicas, config, RouterConfig::default())
-                .expect("launch fleet");
-            eprintln!(
-                "[fleet: {fleet_replicas} replicas behind router {}]",
-                fleet.addr()
-            );
-            Backend::Fleet(fleet)
-        } else {
-            Backend::Single(Server::bind_with(graph, "127.0.0.1:0", config).expect("bind server"))
-        };
-        (backend, Some((tsv_secs, snap_secs)))
+        let server = Server::bind_with(graph, "127.0.0.1:0", config).expect("bind server");
+        (Some(server), Some((tsv_secs, snap_secs)))
     } else {
-        (Backend::External, None)
+        (None, None)
     };
-    let addr = match (&external_addr, &backend) {
-        (Some(a), _) => a.clone(),
-        (None, Backend::Single(server)) => server.addr().to_string(),
-        (None, Backend::Fleet(fleet)) => fleet.addr().to_string(),
-        (None, Backend::External) => unreachable!("external backend implies --addr"),
+    let addr = match &server {
+        Some(server) => server.addr().to_string(),
+        None => external_addr
+            .clone()
+            .expect("no in-process server implies --addr"),
     };
     eprintln!("[driving {addr}]");
 
@@ -341,8 +297,7 @@ fn main() {
     let cache_misses = field_f64(&cache_reply, "misses=").unwrap_or(0.0);
 
     // The full metrics registry, scraped over the METRICS verb and
-    // saved for CI artifacts (fleet mode: the router's registry; cache
-    // stats came from the bound replica above).
+    // saved for CI artifacts.
     match admin.request("METRICS") {
         Ok(reply) if reply.starts_with("OK metrics\n") => {
             let path = obf_bench::results_dir().join("METRICS.txt");
@@ -374,7 +329,6 @@ fn main() {
                     ("connections", Json::from(connections)),
                     ("seed", Json::from(cfg.seed)),
                     ("worlds", Json::from(cfg.worlds)),
-                    ("fleet_replicas", Json::from(fleet_replicas)),
                     (
                         "replay_log",
                         match &replay_path {
@@ -399,7 +353,9 @@ fn main() {
             ),
         ]);
         obf_bench::write_json("BENCH_replay.json", &json);
-        backend.shutdown();
+        if let Some(server) = server {
+            server.shutdown();
+        }
         if errors > 0 {
             eprintln!("loadgen: {errors} protocol errors");
             std::process::exit(1);
@@ -419,7 +375,6 @@ fn main() {
                 ("probe_len", Json::from(probe_len)),
                 ("open_loop_points", Json::from(open_loop_points)),
                 ("open_loop_secs", Json::Num(open_loop_secs.as_secs_f64())),
-                ("fleet_replicas", Json::from(fleet_replicas)),
                 (
                     "external_addr",
                     match &external_addr {
@@ -495,27 +450,24 @@ fn main() {
     ]);
     obf_bench::write_json("BENCH_server.json", &json);
 
-    backend.shutdown();
+    if let Some(server) = server {
+        server.shutdown();
+    }
     if errors > 0 {
         eprintln!("loadgen: {errors} protocol errors");
         std::process::exit(1);
     }
 }
 
-/// Verbs a replay may re-issue. Admin verbs would mutate or stop the
-/// server being driven (a recorded SHUTDOWN would end the bench), and
-/// INVALID records cannot be reconstructed faithfully.
-fn is_replayable_verb(verb: &str) -> bool {
+/// Requests a replay may re-issue: everything this server parses except
+/// the admin verbs, which would mutate or stop the server being driven
+/// (a recorded SHUTDOWN would end the bench). INVALID records cannot be
+/// reconstructed faithfully, and records of verbs the server no longer
+/// speaks do not parse, so both are skipped.
+fn is_replayable(line: &str) -> bool {
     !matches!(
-        verb,
-        "SHUTDOWN"
-            | "QUIT"
-            | "RELOAD"
-            | "RELOAD_PREPARE"
-            | "RELOAD_COMMIT"
-            | "DRAIN"
-            | "UNDRAIN"
-            | "INVALID"
+        Request::parse(line),
+        Err(_) | Ok(Request::Shutdown | Request::Quit | Request::Reload(_))
     )
 }
 
@@ -527,7 +479,7 @@ fn is_replayable_verb(verb: &str) -> bool {
 fn reply_is_counter_bearing(line: &str) -> bool {
     matches!(
         line.split_whitespace().next().unwrap_or(""),
-        "CACHE_STATS" | "SERVER_STATS" | "METRICS" | "FLEET_STATS" | "FLEET_HEALTH"
+        "CACHE_STATS" | "SERVER_STATS" | "METRICS"
     )
 }
 
@@ -761,13 +713,12 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
 
 /// Flags that take a value, in either `--name value` or `--name=value`
 /// form (`--threads` belongs to the shared harness).
-const VALUE_FLAGS: [&str; 11] = [
+const VALUE_FLAGS: [&str; 10] = [
     "--connections",
     "--duration",
     "--addr",
     "--probe",
     "--threads",
-    "--fleet",
     "--expect-digest",
     "--open-loop-points",
     "--open-loop-secs",

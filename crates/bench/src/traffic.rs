@@ -1,14 +1,13 @@
-//! Deterministic serving traffic shared by the load benches
-//! (`loadgen`, `cluster_bench`): the mixed query stream, the FNV
+//! Deterministic serving traffic shared by the load benches (`loadgen`
+//! and the reference benchmark): the mixed query stream, the FNV
 //! answers digest, and the small scraping/parsing utilities around
 //! them.
 //!
 //! The digest contract: [`probe_digest`] is a pure function of
 //! `(seed, worlds, probe_len, served n, the served graph's answers)`.
-//! Any serving topology — one blocking server, the event loop, a
-//! replica fleet behind the router — must produce the same digest for
-//! the same published graph, which is how CI pins "the transport may
-//! change, the answers may not".
+//! Any poller backend, connection count or submission pattern must
+//! produce the same digest for the same published graph, which is how
+//! CI pins "the transport may change, the answers may not".
 
 use obf_server::{Client, WorldStat};
 use std::time::Duration;

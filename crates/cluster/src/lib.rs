@@ -1,28 +1,22 @@
 //! Scale-out layer: the Definition 2 check and possible-world sampling
-//! partitioned over worker processes, and a replica fleet for serving.
+//! partitioned over worker processes.
 //!
-//! Two halves, one partitioning contract:
+//! A [`Coordinator`] ships a published graph to N workers over a
+//! [`Transport`] (in-process channels or length-prefixed TCP), scatters
+//! contiguous *chunk-index* ranges of the entropy computation and
+//! contiguous *world-index* ranges of Monte-Carlo sampling, and merges
+//! the results. Workers return **per-chunk** partial sums
+//! `(Σ x, Σ x·log₂ x)` — never pre-merged per-worker totals — and the
+//! coordinator folds all chunks in global chunk order, so the
+//! floating-point reduction tree is exactly the one
+//! `AdversaryTable::entropies` uses and the verdict, ε̃, and every
+//! entropy are bit-identical to the single-process check at any worker
+//! count. Sampled worlds come back as edge lists and are rebuilt into
+//! the same canonical CSR that [`obf_uncertain::sample_worlds_par`]
+//! produces.
 //!
-//! * **Compute scatter/gather** — a [`Coordinator`] ships a published
-//!   graph to N workers over a [`Transport`] (in-process channels or
-//!   length-prefixed TCP), scatters contiguous *chunk-index* ranges of
-//!   the entropy computation and contiguous *world-index* ranges of
-//!   Monte-Carlo sampling, and merges the results. Workers return
-//!   **per-chunk** partial sums `(Σ x, Σ x·log₂ x)` — never pre-merged
-//!   per-worker totals — and the coordinator folds all chunks in global
-//!   chunk order, so the floating-point reduction tree is exactly the
-//!   one `AdversaryTable::entropies` uses and the verdict, ε̃, and every
-//!   entropy are bit-identical to the single-process check at any worker
-//!   count. Sampled worlds come back as edge lists and are rebuilt into
-//!   the same canonical CSR that [`obf_uncertain::sample_worlds_par`]
-//!   produces.
-//! * **Serving fleet** — a [`fleet::Router`] accepts `obf_server`
-//!   protocol connections and fans them out over replica servers, with
-//!   health/drain verbs and an epoch-consistent two-phase `RELOAD`
-//!   rollout: every replica stages the new release first
-//!   (`RELOAD_PREPARE`), then each replica is drained and flipped
-//!   (`RELOAD_COMMIT`) in turn, so no routed connection ever observes
-//!   answers from two epochs.
+//! Serving is not partitioned: one `obf_server` event loop answers
+//! every query over the published graph.
 //!
 //! Failure is typed, never silent: a worker dying mid-reduction
 //! surfaces as [`ClusterError::WorkerLost`], a garbage frame as
@@ -54,13 +48,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod coordinator;
-pub mod fleet;
 pub mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use coordinator::Coordinator;
-pub use fleet::{Fleet, Router, RouterConfig};
 pub use transport::{
     in_proc_pair, InProcTransport, SocketTransport, Transport, TransportError, MAX_WIRE_FRAME,
 };

@@ -234,9 +234,9 @@ struct Inner {
 }
 
 /// A named collection of metrics. Each serving component (a
-/// `ServerState`, a fleet router) owns one, so co-resident replicas in
-/// one process never share counters; `global()` provides the
-/// process-wide instance for engine-level instrumentation.
+/// `ServerState`) owns one, so servers sharing one process never share
+/// counters; `global()` provides the process-wide instance for
+/// engine-level instrumentation.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: RwLock<Inner>,
@@ -367,8 +367,8 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry, for instrumentation below the serving
 /// layer (engine check timings, library-level spans). Serving
-/// components own their own [`Registry`] instead, so co-resident
-/// replicas stay distinguishable.
+/// components own their own [`Registry`] instead, so servers sharing
+/// one process stay distinguishable.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }

@@ -1,8 +1,8 @@
 //! The event-driven server core: one thread, a readiness [`Poller`],
 //! and a per-connection state machine.
 //!
-//! The thread-per-connection path caps concurrency at thread count and
-//! lets any single slow peer pin a whole thread. This loop instead
+//! A thread per connection would cap concurrency at thread count and
+//! let any single slow peer pin a whole thread. This loop instead
 //! multiplexes every connection over one poller:
 //!
 //! * **nonblocking accept** with admission control — past
@@ -15,8 +15,8 @@
 //!   without limit;
 //! * **pipelining** — every complete frame in the read buffer is
 //!   answered in arrival order before the loop moves on; answers are
-//!   computed by the same [`ServerState::answer`] the blocking path
-//!   uses, so transcripts are bit-identical across server cores;
+//!   computed by [`ServerState::answer`], so a transcript is
+//!   bit-identical to answering the same lines in process;
 //! * **backpressure** — when a connection's write buffer crosses the
 //!   high-water mark the loop stops *reading* (and stops parsing) from
 //!   that connection until the peer drains it below half the mark: a
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::protocol::MAX_FRAME;
+use crate::protocol::{frame_prefix, MAX_FRAME};
 use crate::sys::{Event, Interest, Poller};
 use crate::{ServerConfig, ServerState};
 
@@ -200,7 +200,7 @@ impl EventLoop {
             return;
         }
         let mut frame = Vec::with_capacity(4 + BUSY_REPLY.len());
-        frame.extend_from_slice(&(BUSY_REPLY.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&frame_prefix(BUSY_REPLY.as_bytes()).expect("BUSY_REPLY is short"));
         frame.extend_from_slice(BUSY_REPLY.as_bytes());
         let _ = (&stream).write(&frame);
     }
@@ -268,8 +268,8 @@ impl EventLoop {
         }
         loop {
             if let Err(()) = self.process_frames(conn) {
-                // Fatal framing error: the ERR reply is queued; flush
-                // it and close below.
+                // Fatal framing error: flush what is queued and close
+                // below.
                 conn.closing = true;
             }
             if (writable || !conn.wbuf.is_empty()) && self.flush(conn).is_err() {
@@ -317,7 +317,8 @@ impl EventLoop {
 
     /// Answers every complete frame in `rbuf`, in order, stopping early
     /// if the write buffer crosses the high-water mark. `Err(())` is a
-    /// fatal framing violation (reply already queued).
+    /// fatal framing violation (its `ERR` reply already queued) or a
+    /// reply that does not fit a frame.
     fn process_frames(&mut self, conn: &mut Conn) -> Result<(), ()> {
         while !conn.closing && !conn.paused {
             if conn.rbuf.len() < 4 {
@@ -325,7 +326,7 @@ impl EventLoop {
                 // prefix cannot make progress (config abuse guard).
                 if conn.rbuf.len() >= self.config.read_buffer_cap {
                     self.state.note_protocol_error();
-                    queue_frame(&mut conn.wbuf, "ERR read buffer exhausted");
+                    let _ = queue_frame(&mut conn.wbuf, "ERR read buffer exhausted");
                     return Err(());
                 }
                 return Ok(());
@@ -337,7 +338,7 @@ impl EventLoop {
                 // The declared length is garbage; the stream can never
                 // resync, so reply and close.
                 self.state.note_protocol_error();
-                queue_frame(
+                let _ = queue_frame(
                     &mut conn.wbuf,
                     &format!("ERR frame of {len} bytes exceeds the {frame_cap}-byte cap"),
                 );
@@ -353,14 +354,14 @@ impl EventLoop {
                     // The byte count still delimited the frame, so the
                     // connection survives a non-UTF-8 request.
                     self.state.note_protocol_error();
-                    queue_frame(&mut conn.wbuf, "ERR request is not valid UTF-8");
+                    queue_frame(&mut conn.wbuf, "ERR request is not valid UTF-8")?;
                 }
                 Ok(line) => {
                     let verb = line.trim();
                     let quitting = verb == "QUIT";
                     let shutting_down = verb == "SHUTDOWN";
                     let reply = self.state.answer(&line);
-                    queue_frame(&mut conn.wbuf, &reply);
+                    queue_frame(&mut conn.wbuf, &reply)?;
                     if quitting || shutting_down {
                         conn.closing = true;
                         // `answer` set the state flag for SHUTDOWN; the
@@ -465,9 +466,13 @@ impl EventLoop {
     }
 }
 
-/// Appends one length-prefixed frame to a write buffer.
-fn queue_frame(wbuf: &mut VecDeque<u8>, text: &str) {
+/// Appends one length-prefixed frame to a write buffer. A text over
+/// [`MAX_FRAME`] is not queued and gives `Err(())`, which the caller
+/// treats as a fatal framing error: the connection is closed after the
+/// frames already queued are flushed, and the loop serves on.
+fn queue_frame(wbuf: &mut VecDeque<u8>, text: &str) -> Result<(), ()> {
     let bytes = text.as_bytes();
-    wbuf.extend((bytes.len() as u32).to_le_bytes());
+    wbuf.extend(frame_prefix(bytes).map_err(|_| ())?);
     wbuf.extend(bytes.iter().copied());
+    Ok(())
 }

@@ -17,10 +17,10 @@
 //!   explicit backpressure (a peer that stops reading its replies stops
 //!   being read from), and idle-timeout reaping — so concurrency is
 //!   bounded by file descriptors, not OS threads;
-//! * the original thread-per-connection core is retained
-//!   ([`ServerMode::ThreadPerConnection`]) purely as the reference the
-//!   event loop is regression-tested against: both answer through the
-//!   same [`ServerState::answer`], so transcripts are byte-identical;
+//! * every reply is built by [`ServerState::answer`], so a transcript
+//!   over the wire is byte-identical to answering the same lines in
+//!   process, and a reply too large for one frame becomes an `ERR`
+//!   instead of a frame no client would read;
 //! * Monte-Carlo queries draw their worlds from a shared
 //!   [`WorldCache`] keyed by `(epoch, master_seed, index)`, so
 //!   concurrent queries reuse sampled worlds instead of re-sampling;
@@ -33,7 +33,9 @@
 //!   admin command: the graph behind the `Arc` is replaced atomically,
 //!   the world cache's epoch bump invalidates every stale world, and
 //!   requests in flight finish on the `(epoch, graph)` pair they pinned
-//!   at parse time — no connection is dropped, no answer mixes releases.
+//!   at parse time — no connection is dropped, no answer mixes releases,
+//!   the epochs one connection sees never decrease, and every request
+//!   parsed after the `RELOAD` reply sees the new epoch.
 //!
 //! The wire format is a length-prefixed line protocol ([`protocol`]).
 //! Connections idle longer than [`ServerConfig::idle_timeout`] are
@@ -60,7 +62,6 @@
 // operation must sit in its own `unsafe` block with a SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod blocking;
 pub mod event_loop;
 pub mod protocol;
 pub mod sys;
@@ -68,7 +69,7 @@ pub mod sys;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -89,19 +90,6 @@ pub use event_loop::BUSY_REPLY;
 pub use protocol::{read_frame, write_frame, ExactStat, Request, WorldStat};
 pub use sys::PollerKind;
 
-/// Which serving core multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// The readiness event loop: one thread, poll/epoll multiplexing,
-    /// bounded buffers, backpressure and admission control.
-    #[default]
-    Event,
-    /// The original blocking core: one OS thread per connection. Kept
-    /// as the reference implementation for bit-identity regression
-    /// tests; concurrency is capped at thread count.
-    ThreadPerConnection,
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -113,13 +101,11 @@ pub struct ServerConfig {
     /// slot forever; it is also what bounds half-open and never-reading
     /// peers.
     pub idle_timeout: Option<Duration>,
-    /// Which serving core to run ([`ServerMode::Event`] by default).
-    pub mode: ServerMode,
     /// Readiness backend for the event loop (epoll on Linux, `poll(2)`
     /// elsewhere or when forced).
     pub poller: PollerKind,
     /// Admission control: connections past this limit receive a single
-    /// `ERR BUSY` frame and are closed (event mode).
+    /// `ERR BUSY` frame and are closed.
     pub max_connections: usize,
     /// Per-connection cap on buffered *unparsed* request bytes. Must
     /// exceed [`protocol::MAX_FRAME`]` + 4` to accept maximum-size
@@ -143,7 +129,6 @@ impl Default for ServerConfig {
         Self {
             world_cache_capacity: 256,
             idle_timeout: Some(Duration::from_secs(60)),
-            mode: ServerMode::Event,
             poller: PollerKind::default(),
             max_connections: 4096,
             read_buffer_cap: protocol::MAX_FRAME + 4,
@@ -244,16 +229,11 @@ pub fn load_published_graph(path: &str) -> Result<(UncertainGraph, Option<Snapsh
 #[derive(Debug)]
 pub struct ServerState {
     cache: WorldCache,
-    /// A release loaded by `RELOAD_PREPARE` but not yet served: phase
-    /// one of the fleet's epoch-consistent rollout. `RELOAD_COMMIT`
-    /// swaps it in; until then every answer still comes from the
-    /// current epoch.
-    staged: Mutex<Option<Arc<UncertainGraph>>>,
     /// The per-server metrics registry — the single source of truth
     /// for every counter below. `SERVER_STATS`/`CACHE_STATS` replies
     /// and the `METRICS` dump all read these same atomics, so the
     /// verbs can never disagree. Per-server (not process-global) so
-    /// co-resident fleet replicas stay distinguishable.
+    /// servers sharing one process stay distinguishable.
     registry: Arc<Registry>,
     queries_served: Arc<Counter>,
     protocol_errors: Arc<Counter>,
@@ -304,7 +284,6 @@ impl ServerState {
         };
         Ok(Self {
             cache: WorldCache::with_registry(graph, world_cache_capacity, Arc::clone(&registry)),
-            staged: Mutex::new(None),
             queries_served: registry.counter("obf_server_queries_total"),
             protocol_errors: registry.counter("obf_server_protocol_errors_total"),
             reloads: registry.counter("obf_server_reloads_total"),
@@ -368,7 +347,7 @@ impl ServerState {
         self.connections_accepted.get()
     }
 
-    /// High-water mark of simultaneously open connections (event mode).
+    /// High-water mark of simultaneously open connections.
     pub fn peak_connections(&self) -> u64 {
         self.peak_connections.get()
     }
@@ -449,6 +428,11 @@ impl ServerState {
     /// (modulo cache and counter bookkeeping), so answers are
     /// reproducible by construction.
     ///
+    /// A reply longer than [`protocol::MAX_FRAME`], `OK` or `ERR`,
+    /// becomes an `ERR` naming its size: [`read_frame`] refuses such a frame after
+    /// consuming only its prefix, which would leave the connection out
+    /// of sync.
+    ///
     /// Observability rides alongside: a fresh trace id scopes the
     /// request (visible to the world cache and engine via
     /// [`obf_obs::current_trace`]), a span times the answer into the
@@ -467,13 +451,25 @@ impl ServerState {
         let (counter, hist) = self.verb_metrics(verb);
         counter.inc();
         let span = Span::start_in(Arc::clone(hist));
-        let reply = match parsed.and_then(|req| self.answer_request(&req)) {
+        let mut reply = match parsed.and_then(|req| self.answer_request(&req)) {
             Ok(payload) => format!("OK {payload}"),
             Err(msg) => {
                 self.protocol_errors.inc();
                 format!("ERR {msg}")
             }
         };
+        // Checked on the final string: an `ERR` that echoes a long
+        // request token can outgrow the cap as well as an `OK` can.
+        if reply.len() > protocol::MAX_FRAME {
+            if reply.starts_with("OK") {
+                self.protocol_errors.inc();
+            }
+            reply = format!(
+                "ERR reply of {} bytes exceeds the {}-byte frame cap",
+                reply.len(),
+                protocol::MAX_FRAME
+            );
+        }
         let micros = span.finish();
         if let Some(log) = &self.request_log {
             // Unparseable lines may contain anything (tabs, newlines);
@@ -537,8 +533,6 @@ impl ServerState {
                 "shutting down".to_string()
             }
             Request::Reload(ref path) => self.reload(path)?,
-            Request::ReloadPrepare(ref path) => self.reload_prepare(path)?,
-            Request::ReloadCommit => self.reload_commit()?,
             Request::Health => format!("ok epoch={epoch} n={n}"),
             Request::Info => format!(
                 "n={} candidates={} mass={} epoch={epoch}",
@@ -628,40 +622,6 @@ impl ServerState {
         Ok(out)
     }
 
-    /// Phase one of the two-phase rollout: load the release into the
-    /// staged slot. The current epoch keeps serving untouched — a fleet
-    /// router prepares every replica (paying each load) before any
-    /// replica commits, so the fleet never serves a mix of releases
-    /// because one replica loaded faster than another.
-    fn reload_prepare(&self, path: &str) -> Result<String, String> {
-        let (graph, meta, source) = load_published_graph_with_source(path)?;
-        let n = graph.num_vertices();
-        let m = graph.num_candidates();
-        *self.staged.lock().expect("staged slot poisoned") = Some(Arc::new(graph));
-        let mut out = format!("prepared n={n} candidates={m}");
-        if let Some(meta) = meta {
-            out.push_str(&format!(" snapshot_epoch={}", meta.epoch));
-        }
-        out.push_str(&format!(" source={source}"));
-        Ok(out)
-    }
-
-    /// Phase two: swap the staged release in atomically (same epoch
-    /// bump and world-pool invalidation as `RELOAD`, but with the load
-    /// already paid in phase one, the flip is O(1)).
-    fn reload_commit(&self) -> Result<String, String> {
-        let staged = self
-            .staged
-            .lock()
-            .expect("staged slot poisoned")
-            .take()
-            .ok_or("nothing staged: run RELOAD_PREPARE first")?;
-        let n = staged.num_vertices();
-        let m = staged.num_candidates();
-        let epoch = self.swap_graph(staged);
-        Ok(format!("committed epoch={epoch} n={n} candidates={m}"))
-    }
-
     /// Monte-Carlo estimate `S̄` over worlds `0..r` of the seed stream
     /// (Eq. 9): index order is fixed, so the floating-point sum — and
     /// therefore the answer — is identical no matter how many
@@ -741,8 +701,8 @@ fn join_f64(xs: &[f64]) -> String {
     out
 }
 
-/// A running server: the serving core on its own thread(s) plus the
-/// shared state handle.
+/// A running server: the event loop on its own thread plus the shared
+/// state handle.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -753,7 +713,7 @@ pub struct Server {
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// the default event-driven core with the default [`ServerConfig`].
+    /// the event loop with the default [`ServerConfig`].
     pub fn bind<A: ToSocketAddrs>(
         graph: Arc<UncertainGraph>,
         addr: A,
@@ -783,18 +743,9 @@ impl Server {
             config.request_log.as_deref(),
         )?);
         let stop = Arc::new(AtomicBool::new(false));
-        let core_state = Arc::clone(&state);
-        let core_stop = Arc::clone(&stop);
-        let core_thread = match config.mode {
-            ServerMode::Event => {
-                let event_loop =
-                    event_loop::EventLoop::new(listener, core_state, core_stop, config)?;
-                std::thread::spawn(move || event_loop.run())
-            }
-            ServerMode::ThreadPerConnection => std::thread::spawn(move || {
-                blocking::accept_loop(listener, core_state, core_stop, addr, config.idle_timeout);
-            }),
-        };
+        let event_loop =
+            event_loop::EventLoop::new(listener, Arc::clone(&state), Arc::clone(&stop), config)?;
+        let core_thread = std::thread::spawn(move || event_loop.run());
         Ok(Self {
             addr,
             state,
@@ -813,9 +764,8 @@ impl Server {
         &self.state
     }
 
-    /// Stops the serving core and joins its thread. The event loop
-    /// flushes pending replies within a short drain window; blocking
-    /// mode lets existing connection threads drain on their own.
+    /// Stops the event loop and joins its thread. Pending replies are
+    /// flushed within a short drain window.
     pub fn shutdown(mut self) {
         self.stop_core();
     }
@@ -833,8 +783,7 @@ impl Server {
             let _ = t.join();
         }
         // Every answered request is logged before its reply is sent, so
-        // once the core has exited (and in blocking mode, once clients
-        // have their replies) the buffer holds the complete log.
+        // once the core has exited the buffer holds the complete log.
         self.state.flush_request_log();
     }
 
@@ -889,7 +838,7 @@ impl Client {
         let mut batch = Vec::new();
         for line in lines {
             let bytes = line.as_bytes();
-            batch.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            batch.extend_from_slice(&protocol::frame_prefix(bytes)?);
             batch.extend_from_slice(bytes);
         }
         use std::io::Write as _;
@@ -1059,41 +1008,6 @@ mod tests {
             .collect();
         let mean = values.iter().sum::<f64>() / 5.0;
         assert!(after.starts_with(&format!("OK mean={mean} ")), "{after}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn two_phase_reload_serves_old_epoch_until_commit() {
-        let s = state();
-        assert_eq!(s.answer("HEALTH"), "OK ok epoch=0 n=4");
-        // Nothing staged yet: commit is a typed error, not a flip.
-        assert!(s.answer("RELOAD_COMMIT").starts_with("ERR "));
-
-        let dir = std::env::temp_dir().join(format!("obf_server_prepare_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r1.snap");
-        let g2 = Arc::new(UncertainGraph::new(4, vec![(0, 1, 1.0), (2, 3, 0.5)]).unwrap());
-        obf_uncertain::save_snapshot(&g2, &path).unwrap();
-
-        let before = s.answer("INFO");
-        let reply = s.answer(&format!("RELOAD_PREPARE {}", path.display()));
-        assert!(reply.starts_with("OK prepared n=4 candidates=2"), "{reply}");
-        // Prepared but not committed: every answer is still epoch 0.
-        assert_eq!(s.answer("INFO"), before);
-        assert_eq!(s.epoch(), 0);
-        assert_eq!(s.reloads(), 0);
-
-        let reply = s.answer("RELOAD_COMMIT");
-        assert_eq!(reply, "OK committed epoch=1 n=4 candidates=2");
-        assert_eq!(s.epoch(), 1);
-        assert_eq!(s.reloads(), 1);
-        assert_eq!(s.answer("HEALTH"), "OK ok epoch=1 n=4");
-        assert_eq!(
-            s.answer("EXPECTED num_edges"),
-            format!("OK {}", expected_num_edges(&g2))
-        );
-        // The staged slot is consumed: a second commit errors.
-        assert!(s.answer("RELOAD_COMMIT").starts_with("ERR "));
         std::fs::remove_dir_all(&dir).ok();
     }
 

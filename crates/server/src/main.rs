@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-//!            [--max-conns 4096] [--poller epoll|poll] [--blocking]
-//!            [--request-log <path>]
+//!            [--max-conns 4096] [--poller epoll|poll] [--request-log <path>]
 //! ```
 //!
 //! Prints `LISTENING <addr>` on stdout once bound — scripts scrape this
@@ -16,12 +15,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use obf_server::{load_published_graph_with_source, PollerKind, Server, ServerConfig, ServerMode};
+use obf_server::{load_published_graph_with_source, PollerKind, Server, ServerConfig};
 
 const USAGE: &str = "usage:
   obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-             [--max-conns 4096] [--poller epoll|poll] [--blocking]
-             [--request-log <path>]
+             [--max-conns 4096] [--poller epoll|poll] [--request-log <path>]
 options:
   --port <P>          TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
   --cache <N>         world-cache capacity in worlds (default 256)
@@ -30,8 +28,6 @@ options:
                       (default 4096)
   --poller <B>        readiness backend: epoll (Linux default) or poll; the
                       OBF_POLLER env var sets the same
-  --blocking          serve thread-per-connection (the regression reference)
-                      instead of the event loop
   --request-log <F>   append an OBFUREQLOG v1 record per answered request to F
                       (truncates F at start-up; purely observational — replies
                       are byte-identical with or without it)
@@ -100,7 +96,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.poller =
                     PollerKind::parse(raw).ok_or(format!("invalid value {raw:?} for --poller"))?;
             }
-            "--blocking" => config.mode = ServerMode::ThreadPerConnection,
             "--request-log" => {
                 let raw = it.next().ok_or("flag --request-log needs a value")?;
                 config.request_log = Some(raw.into());

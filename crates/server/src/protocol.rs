@@ -34,20 +34,18 @@
 //! RELOAD <path>                admin: swap in a new release (snapshot or
 //!                              TSV, auto-detected); bumps the serve
 //!                              epoch and invalidates cached worlds
-//! RELOAD_PREPARE <path>        admin: load a release into the staged
-//!                              slot without serving it — the fleet
-//!                              router prepares every replica before any
-//!                              replica flips
-//! RELOAD_COMMIT                admin: atomically swap in the staged
-//!                              release (ERR if nothing is staged)
 //! HEALTH                       liveness probe: `OK ok epoch=<e> n=<n>`
 //! SHUTDOWN                     admin: stop accepting connections
 //! QUIT
 //! ```
 //!
-//! The normative verb/reply table (including the fleet router's admin
-//! verbs) lives in `docs/FORMATS.md` § "Server request/reply
-//! protocol"; CI fails if a verb exists here but not there.
+//! A reply longer than [`MAX_FRAME`] is sent as `ERR reply of <N> bytes
+//! exceeds the 1048576-byte frame cap`, so every frame a server writes
+//! is one [`read_frame`] accepts.
+//!
+//! The normative verb/reply table lives in `docs/FORMATS.md` § "Server
+//! request/reply protocol"; CI fails if a verb exists here but not
+//! there.
 
 use std::io::{Read, Write};
 
@@ -57,11 +55,27 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Largest world count a single `STAT` query may demand.
 pub const MAX_WORLDS: usize = 100_000;
 
-/// Writes one length-prefixed frame.
+/// The length prefix of a frame carrying `payload` — the one place a
+/// prefix is built. `InvalidInput` when the payload exceeds
+/// [`MAX_FRAME`], so no writer can emit a frame [`read_frame`] refuses.
+pub fn frame_prefix(payload: &[u8]) -> std::io::Result<[u8; 4]> {
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
+    Ok((payload.len() as u32).to_le_bytes())
+}
+
+/// Writes one length-prefixed frame (`InvalidInput`, nothing written,
+/// when `text` exceeds [`MAX_FRAME`]).
 pub fn write_frame<W: Write>(mut w: W, text: &str) -> std::io::Result<()> {
     let bytes = text.as_bytes();
-    debug_assert!(bytes.len() <= MAX_FRAME);
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
+    w.write_all(&frame_prefix(bytes)?)?;
     w.write_all(bytes)?;
     w.flush()
 }
@@ -175,13 +189,8 @@ pub enum Request {
     /// Admin: load the file at the path and swap it in as the new
     /// release.
     Reload(String),
-    /// Admin: load the file at the path into the staged slot without
-    /// serving it (phase one of the fleet's epoch-consistent rollout).
-    ReloadPrepare(String),
-    /// Admin: atomically swap in the staged release (phase two).
-    ReloadCommit,
     /// Liveness probe answered without touching the graph beyond the
-    /// epoch read — the router's health check.
+    /// epoch read.
     Health,
     /// Admin: stop the accept loop.
     Shutdown,
@@ -248,11 +257,6 @@ impl Request {
                 let path = parts.next().ok_or("RELOAD needs a file path")?;
                 Request::Reload(path.to_string())
             }
-            "RELOAD_PREPARE" => {
-                let path = parts.next().ok_or("RELOAD_PREPARE needs a file path")?;
-                Request::ReloadPrepare(path.to_string())
-            }
-            "RELOAD_COMMIT" => Request::ReloadCommit,
             "HEALTH" => Request::Health,
             "SHUTDOWN" => Request::Shutdown,
             "QUIT" => Request::Quit,
@@ -280,8 +284,6 @@ impl Request {
             Request::ServerStats => "SERVER_STATS",
             Request::Metrics => "METRICS",
             Request::Reload(_) => "RELOAD",
-            Request::ReloadPrepare(_) => "RELOAD_PREPARE",
-            Request::ReloadCommit => "RELOAD_COMMIT",
             Request::Health => "HEALTH",
             Request::Shutdown => "SHUTDOWN",
             Request::Quit => "QUIT",
@@ -303,8 +305,6 @@ impl Request {
         "SERVER_STATS",
         "METRICS",
         "RELOAD",
-        "RELOAD_PREPARE",
-        "RELOAD_COMMIT",
         "HEALTH",
         "SHUTDOWN",
         "QUIT",
@@ -367,11 +367,6 @@ mod tests {
             Request::parse("RELOAD /tmp/release1.snap"),
             Ok(Request::Reload("/tmp/release1.snap".into()))
         );
-        assert_eq!(
-            Request::parse("RELOAD_PREPARE /tmp/release2.snap"),
-            Ok(Request::ReloadPrepare("/tmp/release2.snap".into()))
-        );
-        assert_eq!(Request::parse("RELOAD_COMMIT"), Ok(Request::ReloadCommit));
         assert_eq!(Request::parse("HEALTH"), Ok(Request::Health));
         assert_eq!(Request::parse("SHUTDOWN"), Ok(Request::Shutdown));
         assert_eq!(Request::parse("QUIT"), Ok(Request::Quit));
@@ -395,8 +390,6 @@ mod tests {
             "PING extra",
             "RELOAD",
             "RELOAD two paths",
-            "RELOAD_PREPARE",
-            "RELOAD_COMMIT now",
             "HEALTH check",
             "SHUTDOWN now",
             "METRICS now",
@@ -420,8 +413,6 @@ mod tests {
             "SERVER_STATS",
             "METRICS",
             "RELOAD /p",
-            "RELOAD_PREPARE /p",
-            "RELOAD_COMMIT",
             "HEALTH",
             "SHUTDOWN",
             "QUIT",
@@ -442,6 +433,16 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("HELLO world"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_before_writing() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &"x".repeat(MAX_FRAME + 1)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
+        write_frame(&mut buf, &"x".repeat(MAX_FRAME)).unwrap();
+        assert_eq!(read_frame(&buf[..]).unwrap().unwrap().len(), MAX_FRAME);
     }
 
     #[test]

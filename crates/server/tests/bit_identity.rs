@@ -1,13 +1,13 @@
-//! Bit-identity regression: the event-driven core is a *transport*
-//! rewrite, never a semantic one. The same query script must produce
-//! byte-identical transcripts across the epoll backend, the portable
-//! poll backend, the legacy blocking thread-per-connection path, and
-//! pipelined vs one-request-at-a-time submission — and the transcript
-//! digest must match across all of them.
+//! Bit-identity regression: the event loop is a *transport*, never a
+//! semantic layer. The same query script must produce byte-identical
+//! transcripts over the epoll backend, the portable poll backend,
+//! pipelined vs one-request-at-a-time submission, and a socket-free
+//! [`ServerState`] answering the same lines in process — and the
+//! transcript digest must match across all of them.
 
 use std::sync::Arc;
 
-use obf_server::{Client, PollerKind, Server, ServerConfig, ServerMode};
+use obf_server::{Client, PollerKind, Server, ServerConfig, ServerState};
 use obf_uncertain::UncertainGraph;
 
 use rand::rngs::SmallRng;
@@ -55,10 +55,9 @@ fn digest(replies: &[String]) -> u64 {
     h
 }
 
-fn config(mode: ServerMode, poller: PollerKind) -> ServerConfig {
+fn config(poller: PollerKind) -> ServerConfig {
     ServerConfig {
         world_cache_capacity: 256,
-        mode,
         poller,
         ..ServerConfig::default()
     }
@@ -75,15 +74,15 @@ fn transcript_with(config: ServerConfig) -> Vec<String> {
 }
 
 #[test]
-fn event_loop_matches_blocking_path_bit_for_bit() {
-    let blocking = transcript_with(config(
-        ServerMode::ThreadPerConnection,
-        PollerKind::default(),
-    ));
-    let event = transcript_with(config(ServerMode::Event, PollerKind::default()));
-    assert_eq!(event, blocking, "event loop changed an answer");
-    assert_eq!(digest(&event), digest(&blocking));
-    for reply in &blocking {
+fn event_loop_matches_in_process_answers_bit_for_bit() {
+    // The reference: the same `answer` the event loop calls, on a fresh
+    // state of the same graph and cache size, with no socket at all.
+    let state = ServerState::new(published_graph(40, 1), 256);
+    let in_process: Vec<String> = (0..SCRIPT_LEN).map(|i| state.answer(&query(i))).collect();
+    let event = transcript_with(config(PollerKind::default()));
+    assert_eq!(event, in_process, "event loop changed an answer");
+    assert_eq!(digest(&event), digest(&in_process));
+    for reply in &in_process {
         assert!(
             reply.starts_with("OK "),
             "protocol error in script: {reply}"
@@ -93,14 +92,14 @@ fn event_loop_matches_blocking_path_bit_for_bit() {
 
 #[test]
 fn epoll_and_poll_backends_are_interchangeable() {
-    let poll = transcript_with(config(ServerMode::Event, PollerKind::Poll));
-    let default = transcript_with(config(ServerMode::Event, PollerKind::default()));
+    let poll = transcript_with(config(PollerKind::Poll));
+    let default = transcript_with(config(PollerKind::default()));
     assert_eq!(default, poll, "poller backend changed an answer");
 }
 
 #[test]
 fn pipelined_and_serial_submission_agree() {
-    let serial = transcript_with(config(ServerMode::Event, PollerKind::default()));
+    let serial = transcript_with(config(PollerKind::default()));
 
     // The same script submitted as pipelined bursts: all requests of a
     // burst written before any reply is read. Replies must come back in
@@ -108,7 +107,7 @@ fn pipelined_and_serial_submission_agree() {
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(ServerMode::Event, PollerKind::default()),
+        config(PollerKind::default()),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -128,7 +127,7 @@ fn pipelined_and_serial_submission_agree() {
 fn transcripts_are_stable_across_runs_of_the_same_mode() {
     // Two independent servers, same mode: the digest is a function of
     // the published graph and the script alone.
-    let a = transcript_with(config(ServerMode::Event, PollerKind::default()));
-    let b = transcript_with(config(ServerMode::Event, PollerKind::default()));
+    let a = transcript_with(config(PollerKind::default()));
+    let b = transcript_with(config(PollerKind::default()));
     assert_eq!(digest(&a), digest(&b));
 }

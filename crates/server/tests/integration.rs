@@ -156,74 +156,237 @@ fn idle_connections_are_reaped() {
     server.shutdown();
 }
 
+/// Two releases of an evolving publication, swapped under load. Four
+/// client threads run a graph-dependent script over short connections
+/// while an admin issues `RELOAD`. The single-process contract: no
+/// connect or request fails, every reply is one release's in-process
+/// answer, the epochs one connection sees never decrease, a connection
+/// opened after the `RELOAD` reply sees only the new release, and no
+/// cached world outlives its epoch.
 #[test]
 fn reload_under_load_drops_no_connections_and_no_stale_worlds() {
-    // Two releases of an evolving publication: same vertex set,
-    // different candidate probabilities.
-    let g0 = published_graph(40, 1);
-    let g1 = published_graph(40, 2);
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Deterministic, graph-dependent queries: the two releases below
+    /// answer every one differently.
+    const SCRIPT: [&str; 4] = [
+        "EXPECTED num_edges",
+        "EXPECTED avg_degree",
+        "DEGREE_DIST 0",
+        "STAT num_edges 8 5",
+    ];
+    let release =
+        |edges: [(u32, u32, f64); 5]| Arc::new(UncertainGraph::new(6, edges.to_vec()).unwrap());
+    let g0 = release([
+        (0, 1, 0.9),
+        (1, 2, 0.5),
+        (2, 3, 0.7),
+        (3, 4, 0.4),
+        (4, 5, 0.8),
+    ]);
+    let g1 = release([
+        (0, 1, 0.2),
+        (0, 2, 0.6),
+        (2, 3, 0.3),
+        (3, 5, 0.9),
+        (1, 4, 0.55),
+    ]);
+    let canonical = |g: &Arc<UncertainGraph>| -> Vec<String> {
+        let state = obf_server::ServerState::new(Arc::clone(g), 64);
+        SCRIPT.iter().map(|q| state.answer(q)).collect()
+    };
+    let (old, new) = (Arc::new(canonical(&g0)), Arc::new(canonical(&g1)));
+    for (o, n) in old.iter().zip(new.iter()) {
+        assert_ne!(o, n, "the two releases must answer every query differently");
+    }
+
     let dir = std::env::temp_dir().join(format!("obf_server_itest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("r1.snap");
-    obf_uncertain::save_snapshot_with_meta(
-        &g1,
-        obf_uncertain::SnapshotMeta {
-            epoch: 1,
-            parent_checksum: 0,
-        },
-        &path,
-    )
-    .unwrap();
+    let (p1, p2) = (dir.join("r1.snap"), dir.join("r2.snap"));
+    obf_uncertain::save_snapshot(&g1, &p1).unwrap();
+    obf_uncertain::save_snapshot(&g0, &p2).unwrap();
 
-    let server = Server::bind(Arc::clone(&g0), "127.0.0.1:0", 512).unwrap();
+    let server = Server::bind(Arc::clone(&g0), "127.0.0.1:0", 64).unwrap();
     let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let reloaded = Arc::new(AtomicBool::new(false));
 
-    // Background connections hammer the server across the reload; every
-    // reply must be OK — zero dropped connections, zero errors.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let workers: Vec<_> = (0..4)
-        .map(|w| {
-            let stop = Arc::clone(&stop);
+    /// What one client thread saw, over all its connections.
+    #[derive(Default)]
+    struct Seen {
+        opened_after_reload: usize,
+        old_replies: usize,
+        new_replies: usize,
+        violations: Vec<String>,
+    }
+
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let (stop, reloaded) = (Arc::clone(&stop), Arc::clone(&reloaded));
+            let (old, new) = (Arc::clone(&old), Arc::clone(&new));
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                let mut replies = 0usize;
-                let mut i = w;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let reply = c.request(&query(i)).expect("connection survived reload");
-                    assert!(reply.starts_with("OK "), "protocol error: {reply}");
-                    replies += 1;
-                    i += 4;
+                let mut seen = Seen::default();
+                while !stop.load(Ordering::Relaxed) {
+                    // Read before connecting: when set, the swap had
+                    // completed before this connection existed.
+                    let after_reload = reloaded.load(Ordering::SeqCst);
+                    let mut c = match Client::connect(addr) {
+                        Ok(c) => c,
+                        Err(e) => {
+                            seen.violations.push(format!("connect failed: {e}"));
+                            continue;
+                        }
+                    };
+                    seen.opened_after_reload += usize::from(after_reload);
+                    let mut last_epoch = 0u64;
+                    for (i, q) in SCRIPT.iter().enumerate().cycle().take(3 * SCRIPT.len()) {
+                        let (Ok(reply), Ok(info)) = (c.request(q), c.request("INFO")) else {
+                            seen.violations.push(format!("request failed after {q}"));
+                            break;
+                        };
+                        // The release that answered, as an epoch.
+                        let reply_epoch = if reply == new[i] {
+                            seen.new_replies += 1;
+                            1
+                        } else if reply == old[i] && !after_reload {
+                            seen.old_replies += 1;
+                            0
+                        } else {
+                            seen.violations
+                                .push(format!("{q} -> {reply} (after_reload={after_reload})"));
+                            0
+                        };
+                        let epoch: u64 = info
+                            .split_whitespace()
+                            .find_map(|t| t.strip_prefix("epoch="))
+                            .and_then(|e| e.parse().ok())
+                            .unwrap_or(u64::MAX);
+                        if epoch < last_epoch.max(reply_epoch)
+                            || epoch > 1
+                            || (after_reload && epoch != 1)
+                        {
+                            seen.violations.push(format!(
+                                "INFO epoch {epoch} after {last_epoch} \
+                                 (after_reload={after_reload}): {info}"
+                            ));
+                        }
+                        last_epoch = epoch;
+                    }
+                    let _ = c.request("QUIT");
                 }
-                replies
+                seen
             })
         })
         .collect();
 
-    // Warm the cache on epoch 0, then reload mid-traffic.
+    // Traffic and a warm cache on the old release, then the swap.
+    std::thread::sleep(Duration::from_millis(150));
     let mut admin = Client::connect(addr).unwrap();
-    let warm = admin.request("STAT num_edges 8 42").unwrap();
-    let reply = admin
-        .request(&format!("RELOAD {}", path.display()))
-        .unwrap();
-    assert!(reply.starts_with("OK reloaded epoch=1"), "{reply}");
+    assert_eq!(admin.request(SCRIPT[3]).unwrap(), old[3]);
+    let reply = admin.request(&format!("RELOAD {}", p1.display())).unwrap();
+    assert!(reply.starts_with("OK reloaded epoch=1 n=6"), "{reply}");
+    reloaded.store(true, Ordering::SeqCst);
 
     // No cross-epoch answer reuse: the same STAT now matches a fresh
     // out-of-band sample of the *new* release, bit for bit.
-    let after = admin.request("STAT num_edges 8 42").unwrap();
+    let after = admin.request(SCRIPT[3]).unwrap();
     let values: Vec<f64> = (0..8)
-        .map(|i| obf_uncertain::sample_indexed_world(&g1, 42, i).num_edges() as f64)
+        .map(|i| obf_uncertain::sample_indexed_world(&g1, 5, i).num_edges() as f64)
         .collect();
     let mean = values.iter().sum::<f64>() / 8.0;
     assert!(after.starts_with(&format!("OK mean={mean} ")), "{after}");
-    assert_ne!(warm, after);
     let cache = admin.request("CACHE_STATS").unwrap();
     assert!(cache.contains("epoch=1"), "{cache}");
     assert!(!cache.contains("invalidations=0"), "{cache}");
 
-    std::thread::sleep(Duration::from_millis(100));
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let total: usize = workers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(total > 0, "workers answered nothing");
+    std::thread::sleep(Duration::from_millis(150));
+    stop.store(true, Ordering::Relaxed);
+    let mut total = Seen::default();
+    for t in clients {
+        let seen = t.join().unwrap();
+        total.opened_after_reload += seen.opened_after_reload;
+        total.old_replies += seen.old_replies;
+        total.new_replies += seen.new_replies;
+        total.violations.extend(seen.violations);
+    }
+    assert!(total.violations.is_empty(), "{:#?}", total.violations);
+    assert!(total.old_replies > 0, "no reply came from the old release");
+    assert!(
+        total.opened_after_reload > 0 && total.new_replies > 0,
+        "no connection opened after the reload"
+    );
+
+    // A second swap bumps the epoch again.
+    let reply = admin.request(&format!("RELOAD {}", p2.display())).unwrap();
+    assert!(reply.starts_with("OK reloaded epoch=2 n=6"), "{reply}");
+    assert_eq!(admin.request("HEALTH").unwrap(), "OK ok epoch=2 n=6");
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reply too large for one frame is an `ERR` naming its size, equal to
+/// the in-process answer, and the connection stays in sync: the next
+/// request on it is answered normally.
+#[test]
+fn oversized_reply_is_an_err_and_the_connection_stays_in_sync() {
+    // A 60,000-leaf star: NEIGHBORHOOD 0 lists every leaf with its
+    // probability, about 1.5 MB of text.
+    let mut rng = SmallRng::seed_from_u64(3);
+    let leaves = 60_000u32;
+    let cands: Vec<(u32, u32, f64)> = (1..=leaves).map(|v| (0, v, rng.gen::<f64>())).collect();
+    let g = Arc::new(UncertainGraph::new(leaves as usize + 1, cands).unwrap());
+    let reference = obf_server::ServerState::new(Arc::clone(&g), 16).answer("NEIGHBORHOOD 0");
+    let server = Server::bind(g, "127.0.0.1:0", 16).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let reply = c.request("NEIGHBORHOOD 0").unwrap();
+    assert_eq!(c.request("PING").unwrap(), "OK pong");
+    assert!(
+        reply.starts_with("ERR reply of ")
+            && reply.ends_with(" bytes exceeds the 1048576-byte frame cap"),
+        "{:.120}",
+        reply
+    );
+    assert_eq!(
+        reply, reference,
+        "the wire and the in-process answer differ"
+    );
+    // Small neighborhoods of the same graph still answer.
+    assert!(c.request("NEIGHBORHOOD 7").unwrap().starts_with("OK 0:"));
+    assert_eq!(server.state().protocol_errors(), 1);
+    server.shutdown();
+}
+
+/// An `ERR` that echoes a request token is capped like an `OK` reply: a
+/// one-token request of exactly `MAX_FRAME` bytes, or a shorter one whose
+/// escaped echo outgrows the cap, gets the over-cap `ERR`, the
+/// connection stays in sync, and the server keeps serving.
+#[test]
+fn oversized_err_echo_is_capped_and_the_server_keeps_serving() {
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let g = published_graph(40, 1);
+    let reference = obf_server::ServerState::new(Arc::clone(&g), 16);
+    let server = Server::bind(g, "127.0.0.1:0", 16).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let max_frame = 1usize << 20;
+    for token in ["A".repeat(max_frame), "\u{1}".repeat(220_000)] {
+        let mut frame = (token.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(token.as_bytes());
+        stream.write_all(&frame).unwrap();
+        let reply = obf_server::read_frame(&stream).unwrap().unwrap();
+        assert!(
+            reply.starts_with("ERR reply of ")
+                && reply.ends_with(" bytes exceeds the 1048576-byte frame cap"),
+            "{:.120}",
+            reply
+        );
+        assert_eq!(reply, reference.answer(&token));
+    }
+    obf_server::write_frame(&stream, "PING").unwrap();
+    assert_eq!(obf_server::read_frame(&stream).unwrap().unwrap(), "OK pong");
+    let mut fresh = Client::connect(server.addr()).unwrap();
+    assert_eq!(fresh.request("PING").unwrap(), "OK pong");
+    assert_eq!(server.state().protocol_errors(), 2);
+    server.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Observability neutrality: metrics, spans, and the request log are
 //! strictly read-only taps on the answer path. The same query script
 //! must produce byte-identical transcripts with the request log on or
-//! off, on every poller backend and the blocking path, and scraping
+//! off, on every poller backend, and scraping
 //! `METRICS`/`SERVER_STATS` mid-stream must not perturb a single
 //! answer byte. This is the test-level twin of the `ci.sh serve`
 //! digest gate (pinned `answers_digest` with `--request-log` enabled).
@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use obf_server::{Client, PollerKind, Server, ServerConfig, ServerMode};
+use obf_server::{Client, PollerKind, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
 use rand::rngs::SmallRng;
@@ -50,10 +50,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir.join(tag)
 }
 
-fn config(mode: ServerMode, poller: PollerKind, request_log: Option<PathBuf>) -> ServerConfig {
+fn config(poller: PollerKind, request_log: Option<PathBuf>) -> ServerConfig {
     ServerConfig {
         world_cache_capacity: 256,
-        mode,
         poller,
         request_log,
         ..ServerConfig::default()
@@ -72,18 +71,13 @@ fn transcript_with(config: ServerConfig) -> Vec<String> {
 
 #[test]
 fn request_log_is_transcript_neutral_on_every_backend() {
-    for (tag, mode, poller) in [
-        ("event_default", ServerMode::Event, PollerKind::default()),
-        ("event_poll", ServerMode::Event, PollerKind::Poll),
-        (
-            "blocking",
-            ServerMode::ThreadPerConnection,
-            PollerKind::default(),
-        ),
+    for (tag, poller) in [
+        ("event_default", PollerKind::default()),
+        ("event_poll", PollerKind::Poll),
     ] {
-        let off = transcript_with(config(mode, poller, None));
+        let off = transcript_with(config(poller, None));
         let log_path = scratch(tag);
-        let on = transcript_with(config(mode, poller, Some(log_path.clone())));
+        let on = transcript_with(config(poller, Some(log_path.clone())));
         assert_eq!(on, off, "request log changed an answer under {tag}");
 
         // The log really was written: header plus one record per request.
@@ -96,22 +90,14 @@ fn request_log_is_transcript_neutral_on_every_backend() {
 
 #[test]
 fn metrics_scrapes_do_not_perturb_answers() {
-    let quiet = transcript_with(config(
-        ServerMode::Event,
-        PollerKind::default(),
-        Some(scratch("scrape_quiet")),
-    ));
+    let quiet = transcript_with(config(PollerKind::default(), Some(scratch("scrape_quiet"))));
 
     // Same script, but with METRICS / SERVER_STATS / CACHE_STATS
     // scraped from a second connection every few queries.
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(
-            ServerMode::Event,
-            PollerKind::default(),
-            Some(scratch("scrape_noisy")),
-        ),
+        config(PollerKind::default(), Some(scratch("scrape_noisy"))),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -137,7 +123,7 @@ fn metrics_snapshot_counts_match_the_script() {
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(ServerMode::Event, PollerKind::default(), None),
+        config(PollerKind::default(), None),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();

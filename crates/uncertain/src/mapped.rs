@@ -8,7 +8,7 @@
 //! header page plus the `offsets` and `targets` sections for the
 //! structural scan, and everything else is faulted in lazily by the
 //! page cache as queries read it. Load time stays ~flat as the graph
-//! grows (measured in `BENCH_snapshot.json`), and N server replicas
+//! grows (measured in `BENCH_snapshot.json`), and N server processes
 //! mapping the same file share one physical copy of the pages.
 //!
 //! # Verification tiers
@@ -81,8 +81,8 @@ impl MappedSnapshot {
     /// The header checksum transitively commits to the section
     /// checksums, but the sections themselves are **trusted**, not
     /// re-hashed: use this tier only for files this process just wrote
-    /// or that were verified out-of-band (`snapshot_convert --verify`,
-    /// a fleet's `RELOAD_PREPARE`). Memory safety never depends on
+    /// or that were verified out-of-band (`snapshot_convert --verify`).
+    /// Memory safety never depends on
     /// section content — the graph view clamps row bounds and the
     /// candidate scan is guarded — but a file whose sections rotted
     /// under an intact header can return wrong values or out-of-range

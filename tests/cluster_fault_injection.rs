@@ -2,21 +2,17 @@
 //! surface as a *typed* error or a clean degradation — never a wrong
 //! answer, never a panic.
 //!
-//! Three fronts: a worker dying mid-reduction, a replica dying (and
-//! draining) under the fleet router, and hostile bytes on the worker
-//! wire (extending the `fuzz_protocol.rs` idiom from `obf_server` to
-//! the binary worker codec).
+//! Two fronts: a worker dying mid-reduction, and hostile bytes on the
+//! worker wire (extending the `fuzz_protocol.rs` idiom from
+//! `obf_server` to the binary worker codec).
 
 use obf_cluster::wire::{decode_request, decode_response, encode_request, encode_response};
 use obf_cluster::{
-    in_proc_pair, spawn_in_proc_workers, ClusterError, Coordinator, Fleet, RouterConfig, Transport,
-    Worker, WorkerRequest, WorkerResponse,
+    in_proc_pair, spawn_in_proc_workers, ClusterError, Coordinator, Transport, Worker,
+    WorkerRequest, WorkerResponse,
 };
-use obf_server::{Client, ServerConfig};
 use obf_uncertain::{snapshot_bytes, DegreeDistMethod, UncertainGraph};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn published() -> UncertainGraph {
     UncertainGraph::new(
@@ -165,77 +161,6 @@ fn misrouted_partials_are_protocol_error() {
         matches!(err, ClusterError::Protocol { worker: 0, .. }),
         "{err}"
     );
-}
-
-/// Router front: draining a replica must not drop a single in-flight
-/// request — bound connections keep getting answers while drained, and
-/// only *new* connections are diverted.
-#[test]
-fn drain_drops_zero_in_flight_requests() {
-    let fleet = Fleet::launch(
-        Arc::new(published()),
-        2,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-    // Two bound connections, one per replica.
-    let mut a = Client::connect(fleet.addr()).unwrap();
-    let mut b = Client::connect(fleet.addr()).unwrap();
-    a.request("PING").unwrap();
-    b.request("PING").unwrap();
-    let mut admin = Client::connect(fleet.addr()).unwrap();
-    admin.request("DRAIN 0").unwrap();
-    admin.request("DRAIN 1").unwrap();
-    // Every further request on the already-bound connections must
-    // still be answered while both replicas are draining.
-    for _ in 0..25 {
-        let ra = a.request("EXPECTED num_edges").unwrap();
-        let rb = b.request("EXPECTED num_edges").unwrap();
-        assert!(ra.starts_with("OK "), "{ra}");
-        assert!(rb.starts_with("OK "), "{rb}");
-    }
-    admin.request("UNDRAIN 0").unwrap();
-    admin.request("UNDRAIN 1").unwrap();
-    fleet.shutdown();
-}
-
-/// A replica killed outright: its bound connections get the typed
-/// `ERR REPLICA_LOST`, fresh connections are routed around the corpse,
-/// and the survivor answers everything.
-#[test]
-fn dead_replica_is_routed_around() {
-    let mut fleet = Fleet::launch(
-        Arc::new(published()),
-        2,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-    let mut a = Client::connect(fleet.addr()).unwrap();
-    let mut b = Client::connect(fleet.addr()).unwrap();
-    a.request("PING").unwrap();
-    b.request("PING").unwrap();
-    fleet.kill_replica(0);
-    let replies = [a.request("INFO").unwrap(), b.request("INFO").unwrap()];
-    assert!(
-        replies.iter().any(|r| r.starts_with("ERR REPLICA_LOST")),
-        "{replies:?}"
-    );
-    assert!(replies.iter().any(|r| r.starts_with("OK ")), "{replies:?}");
-    // Fresh connections keep working via the survivor; the dead
-    // replica costs at most a failed connect inside the router.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let mut c = Client::connect(fleet.addr()).unwrap();
-        let reply = c.request("EXPECTED num_edges").unwrap();
-        if reply.starts_with("OK ") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "router never recovered: {reply}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    fleet.shutdown();
 }
 
 proptest! {
