@@ -7,9 +7,9 @@
 #   ./ci.sh fast       # skip the release build (debug test cycle only)
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
-#   ./ci.sh release    # release build + bench/benchmark compile + determinism matrix
+#   ./ci.sh release    # release build + bench/benchmark compile + determinism matrix + goldens
 #   ./ci.sh serve      # obf_server integration tests + loadgen smoke + digest check
-#   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + digest check
+#   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
 #   ./ci.sh cluster    # obf_cluster tests + cluster_bench check-matrix bit-identity
 #   ./ci.sh snapshot   # snapshot v3 round-trip, convert tool, mmap-vs-heap digest, docs spec
 #   ./ci.sh analyze    # obf_audit static analysis (deny-clean) + pedantic clippy on engine crates
@@ -80,10 +80,14 @@ release() {
         || { echo "table3 trajectory differs between fastpath and exhaustive"; exit 1; }
     echo "determinism OK: identical across thread counts and check strategies"
 
-    # Leave results/table3.tsv + BENCH_table3.json reflecting the default
-    # fast path (the exhaustive run above overwrote them), so the CI
-    # artifact records the real per-PR perf trajectory.
-    OBF_FAST=1 ./target/release/table3 --threads 4 >/dev/null 2>&1
+    # Goldens per commit: the reduced-scale reproduction's deterministic
+    # columns must match results/golden/ exactly, so an engine change
+    # that drifts a single bit fails here, not in the nightly job. The
+    # run also leaves results/table3.tsv + BENCH_table3.json reflecting
+    # the default fast path (the exhaustive run above overwrote them).
+    step "golden diff (OBF_FAST=1 run_all vs results/golden)"
+    OBF_FAST=1 ./target/release/run_all >/dev/null
+    ./scripts/check_goldens.sh
 }
 
 serve() {
@@ -169,12 +173,20 @@ evolve() {
     step "obf_evolve unit + property tests"
     cargo test -q -p obf_evolve
 
+    # The evolve digest is pinned like the serving answers digest: the
+    # σ trajectory, rows-recomputed counts and snapshot checksums of the
+    # toy stream may not move by a bit.
+    expected_digest="6f5897e44a0fd289"
     step "republish bench (toy-scale delta stream, end-to-end)"
     cargo build --release -p obf_bench -p obf_server
     OBF_FAST=1 ./target/release/republish --batches 4
     test -s results/BENCH_evolve.json \
         || { echo "republish did not emit results/BENCH_evolve.json"; exit 1; }
     digest1=$(grep evolve_digest results/BENCH_evolve.json)
+    case "$digest1" in
+        *"$expected_digest"*) ;;
+        *) echo "evolve digest drifted from pinned $expected_digest: $digest1"; exit 1 ;;
+    esac
 
     # Evolve determinism: the same seed must reproduce the same sigma
     # trajectory, rows-recomputed counts and snapshot checksums bit for

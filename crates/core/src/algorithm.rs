@@ -11,10 +11,14 @@
 //! smallest `σ` that still succeeds, returning the last successful
 //! obfuscation (the one with minimal σ, i.e. maximal utility).
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use obf_graph::{AliasTable, FxHashSet, Graph, Parallelism, VertexPair};
+use obf_graph::{AliasTable, FxHashMap, FxHashSet, Graph, Parallelism, VertexPair};
+use obf_obs::metrics::labeled;
+use obf_obs::{Histogram, Span};
 use obf_stats::TruncatedNormal;
 use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::UncertainGraph;
@@ -371,14 +375,14 @@ impl SigmaSearchStats {
 /// reused by every candidate σ (the "search-state reuse" leg of the fast
 /// path): the per-vertex property values and their sorted histogram
 /// (only the kernel θ = σ changes per candidate), the original graph's
-/// degree profile for the Definition 2 check, and the original edge set
-/// that seeds every trial's candidate selection.
+/// degree profile for the Definition 2 check, and the span histograms,
+/// resolved once so no trial takes a registry lookup.
 struct SearchContext {
     property: DegreeProperty,
     per_vertex: Vec<f64>,
     histogram: ValueHistogram,
     profile: DegreeProfile,
-    base_pairs: FxHashSet<VertexPair>,
+    spans: SearchSpans,
 }
 
 impl SearchContext {
@@ -387,14 +391,39 @@ impl SearchContext {
         let per_vertex = property.values(g);
         let histogram = ValueHistogram::new(&per_vertex);
         let profile = DegreeProfile::new(g);
-        let base_pairs: FxHashSet<VertexPair> =
-            g.edges().map(|(u, v)| VertexPair::new(u, v)).collect();
         Self {
             property,
             per_vertex,
             histogram,
             profile,
-            base_pairs,
+            spans: SearchSpans::resolve(),
+        }
+    }
+}
+
+/// Global-registry histograms of the σ search: one per candidate σ and
+/// one per Algorithm 2 trial phase. Durations feed only these histograms
+/// and [`SigmaCandidateStats::secs`] — never a published bit.
+struct SearchSpans {
+    candidate: Arc<Histogram>,
+    select: Arc<Histogram>,
+    noise: Arc<Histogram>,
+    build: Arc<Histogram>,
+    check: Arc<Histogram>,
+}
+
+impl SearchSpans {
+    fn resolve() -> Self {
+        let registry = obf_obs::global();
+        let phase = |name: &str| {
+            registry.histogram(&labeled("obf_core_trial_phase_micros", &[("phase", name)]))
+        };
+        Self {
+            candidate: registry.histogram("obf_core_candidate_check_micros"),
+            select: phase("select"),
+            noise: phase("noise"),
+            build: phase("build"),
+            check: phase("check"),
         }
     }
 }
@@ -478,31 +507,32 @@ fn generate_in_context(
     let target_ec = ((params.c * m as f64).round() as usize).max(m);
     let mut best: Option<(f64, UncertainGraph)> = None;
     let mut trials = Vec::with_capacity(params.t);
+    // One sampler per distinct σ(e) of a trial: σ(e) depends on a pair
+    // only through its endpoints' uniqueness, so it takes few values.
+    // Only looked up, never iterated.
+    let mut samplers: FxHashMap<u64, TruncatedNormal> = FxHashMap::default();
 
     for _trial in 0..params.t {
-        // Lines 6–12: select E_C starting from E (cloned from the
-        // context's prebuilt edge set instead of re-collected).
-        let (ec, removed_edges) =
-            match select_candidates(g, &ctx.base_pairs, target_ec, alias.as_ref(), rng) {
-                Some(x) => x,
-                None => {
-                    // Degenerate graph (no sampleable vertices): E_C stays E.
-                    (g.edges().map(|(u, v)| VertexPair::new(u, v)).collect(), 0)
-                }
-            };
+        // Lines 6–12: select E_C, in lexicographic order, with a flag per
+        // pair telling original edges from added non-edges.
+        let span = Span::start_in(Arc::clone(&ctx.spans.select));
+        let (ec, removed_edges) = select_candidates(g, target_ec, alias.as_ref(), rng);
+        span.finish();
 
         // Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
+        let span = Span::start_in(Arc::clone(&ctx.spans.noise));
         let pair_uniqueness: Vec<f64> = ec
             .iter()
-            .map(|p| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
+            .map(|(p, _)| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
             .collect();
         let uniq_total: f64 = pair_uniqueness.iter().sum();
 
         // Lines 13–19: draw perturbations and assign probabilities.
+        samplers.clear();
         let mut kept_edges = 0usize;
         let mut added_pairs = 0usize;
         let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(ec.len());
-        for (pair, &u_e) in ec.iter().zip(&pair_uniqueness) {
+        for (&(pair, is_edge), &u_e) in ec.iter().zip(&pair_uniqueness) {
             let sigma_e = if uniq_total > 0.0 {
                 (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
             } else {
@@ -511,9 +541,11 @@ fn generate_in_context(
             let r_e = if rng.gen::<f64>() < params.q {
                 rng.gen::<f64>()
             } else {
-                TruncatedNormal::new(sigma_e).sample(rng)
+                samplers
+                    .entry(sigma_e.to_bits())
+                    .or_insert_with(|| TruncatedNormal::new(sigma_e))
+                    .sample(rng)
             };
-            let is_edge = g.has_edge(pair.lo(), pair.hi());
             let p = if is_edge {
                 kept_edges += 1;
                 1.0 - r_e
@@ -523,7 +555,11 @@ fn generate_in_context(
             };
             candidates.push((pair.lo(), pair.hi(), p));
         }
+        span.finish();
+
+        let span = Span::start_in(Arc::clone(&ctx.spans.build));
         let ug = UncertainGraph::new(n, candidates).expect("valid candidate set");
+        span.finish();
 
         // Line 20: ε' = fraction of vertices not k-obfuscated — the
         // Algorithm 2 hot path. Both strategies shard rows and entropy
@@ -531,6 +567,7 @@ fn generate_in_context(
         // verdicts; the fast path additionally memoizes identical rows,
         // truncates the DP support at max_deg(G), and aborts the sweep
         // once the ε budget is decided (see `crate::fastpath`).
+        let span = Span::start_in(Arc::clone(&ctx.spans.check));
         let (eps_trial, passed) = match params.check {
             CheckStrategy::Exhaustive => {
                 let table = AdversaryTable::build_par(&ug, params.method, &params.parallelism);
@@ -576,6 +613,7 @@ fn generate_in_context(
                 (eps_trial, verdict.satisfies)
             }
         };
+        span.finish();
         stats.table_builds += 1;
         stats.columns_total += ctx.profile.distinct().len() as u64;
         trials.push(TrialStats {
@@ -608,49 +646,64 @@ fn generate_in_context(
 /// Algorithm 2 lines 6–12: starting from `E_C = E`, repeatedly draw a
 /// vertex pair from `Q × Q`; drawing an existing edge removes it (certain
 /// deletion), a non-edge is added as a candidate; stop at `|E_C| =
-/// target`. Returns the candidate pairs and the number of removed original
-/// edges, or `None` when no vertices are sampleable.
+/// target`. Only the changes to `E` are tracked: `E_C = (E \ removed) ∪
+/// added`, merged in lexicographic order from the sorted adjacency and
+/// the sorted `added`. Returns each candidate pair with whether it is an
+/// original edge, and the number of removed original edges. With no
+/// sampleable vertices (`alias` is `None`) `E_C` stays `E`.
 fn select_candidates(
     g: &Graph,
-    base: &FxHashSet<VertexPair>,
     target: usize,
     alias: Option<&AliasTable>,
     rng: &mut SmallRng,
-) -> Option<(Vec<VertexPair>, usize)> {
-    let alias = alias?;
-    let mut ec: FxHashSet<VertexPair> = base.clone();
-    let mut removed = 0usize;
-    // Safety valve: the expected number of draws is ~(target - |E|) plus a
-    // small correction for collisions; a generous multiple covers skewed Q.
-    let max_draws = 200usize
-        .saturating_add(target.saturating_mul(50))
-        .saturating_add(g.num_edges() * 50);
-    let mut draws = 0usize;
-    while ec.len() != target {
-        draws += 1;
-        if draws > max_draws {
-            // Could not reach the target (e.g. dense graph with few
-            // non-edges among sampleable vertices); proceed with what we
-            // have — the trial's ε̃ test still gates correctness.
-            break;
-        }
-        let u = alias.sample(rng);
-        let v = alias.sample(rng);
-        if u == v {
-            continue;
-        }
-        let pair = VertexPair::new(u, v);
-        if g.has_edge(u, v) {
-            if ec.remove(&pair) {
-                removed += 1;
+) -> (Vec<(VertexPair, bool)>, usize) {
+    let m = g.num_edges();
+    let mut added: FxHashSet<VertexPair> = FxHashSet::default();
+    added.reserve(target.saturating_sub(m));
+    let mut removed: FxHashSet<VertexPair> = FxHashSet::default();
+    if let Some(alias) = alias {
+        // Safety valve: the expected number of draws is ~(target - |E|)
+        // plus a small correction for collisions; a generous multiple
+        // covers skewed Q.
+        let max_draws = 200usize
+            .saturating_add(target.saturating_mul(50))
+            .saturating_add(m.saturating_mul(50));
+        let mut draws = 0usize;
+        while m - removed.len() + added.len() != target {
+            draws += 1;
+            if draws > max_draws {
+                // Could not reach the target (e.g. dense graph with few
+                // non-edges among sampleable vertices); proceed with what
+                // we have — the trial's ε̃ test still gates correctness.
+                break;
             }
-        } else {
-            ec.insert(pair);
+            let u = alias.sample(rng);
+            let v = alias.sample(rng);
+            if u == v {
+                continue;
+            }
+            let pair = VertexPair::new(u, v);
+            if g.has_edge(u, v) {
+                removed.insert(pair);
+            } else {
+                added.insert(pair);
+            }
         }
     }
-    let mut pairs: Vec<VertexPair> = ec.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
-    pairs.sort_unstable();
-    Some((pairs, removed))
+    let mut sorted: Vec<VertexPair> = added.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
+    sorted.sort_unstable();
+    let mut ec = Vec::with_capacity(m - removed.len() + sorted.len());
+    let mut sorted = sorted.into_iter().peekable();
+    for edge in g.edge_pairs() {
+        while let Some(pair) = sorted.next_if(|&pair| pair < edge) {
+            ec.push((pair, false));
+        }
+        if !removed.contains(&edge) {
+            ec.push((edge, true));
+        }
+    }
+    ec.extend(sorted.map(|pair| (pair, false)));
+    (ec, removed.len())
 }
 
 /// Algorithm 1: finds the minimal `σ` for which Algorithm 2 produces a
@@ -707,7 +760,7 @@ pub fn obfuscate_with_stats(
             // Span duration feeds only SigmaCandidateStats.secs and the
             // obf_core_candidate_check_micros histogram — instrumentation
             // excluded from every digest and equivalence check.
-            let span = obf_obs::Span::start(obf_obs::global(), "obf_core_candidate_check_micros");
+            let span = Span::start_in(Arc::clone(&ctx.spans.candidate));
             let out = generate_in_context(g, &ctx, params, sigma, &[], rng, &mut cand);
             cand.secs = span.finish_secs();
             cand.accepted = out.succeeded();
@@ -777,7 +830,96 @@ pub fn obfuscate_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obf_graph::generators;
+    use obf_graph::{generators, GraphBuilder};
+    use proptest::prelude::*;
+
+    /// The clone-and-sort selection [`select_candidates`] replaced: grow
+    /// a copy of all of `E` to the target, then collect and sort it.
+    fn select_candidates_oracle(
+        g: &Graph,
+        target: usize,
+        alias: Option<&AliasTable>,
+        rng: &mut SmallRng,
+    ) -> (Vec<VertexPair>, usize) {
+        let mut ec: FxHashSet<VertexPair> = g.edge_pairs().collect();
+        let mut removed = 0usize;
+        if let Some(alias) = alias {
+            let max_draws = 200usize
+                .saturating_add(target.saturating_mul(50))
+                .saturating_add(g.num_edges().saturating_mul(50));
+            let mut draws = 0usize;
+            while ec.len() != target {
+                draws += 1;
+                if draws > max_draws {
+                    break;
+                }
+                let u = alias.sample(rng);
+                let v = alias.sample(rng);
+                if u == v {
+                    continue;
+                }
+                let pair = VertexPair::new(u, v);
+                if g.has_edge(u, v) {
+                    if ec.remove(&pair) {
+                        removed += 1;
+                    }
+                } else {
+                    ec.insert(pair);
+                }
+            }
+        }
+        let mut pairs: Vec<VertexPair> = ec.into_iter().collect();
+        pairs.sort_unstable();
+        (pairs, removed)
+    }
+
+    fn arb_selection_input() -> impl Strategy<Value = (Graph, Vec<f64>, f64, u64)> {
+        (3usize..40).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n),
+                proptest::collection::vec(0u32..4, n),
+                1.0f64..4.0,
+                any::<u64>(),
+            )
+                .prop_map(move |(edges, weights, c, seed)| {
+                    let mut b = GraphBuilder::new(n);
+                    for (u, v) in edges {
+                        if u != v {
+                            b.add_edge(u, v);
+                        }
+                    }
+                    let weights = weights.into_iter().map(f64::from).collect();
+                    (b.build(), weights, c, seed)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn selection_matches_clone_and_sort_oracle(input in arb_selection_input()) {
+            // Zero weights model H; all-zero weights the degenerate
+            // graph with nothing sampleable. A c beyond what the
+            // sampleable pairs can supply exercises the draw cap.
+            let (g, weights, c, seed) = input;
+            let alias = weights.iter().any(|&w| w > 0.0).then(|| AliasTable::new(&weights));
+            let m = g.num_edges();
+            let target = ((c * m as f64).round() as usize).max(m);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (ec, removed) = select_candidates(&g, target, alias.as_ref(), &mut rng);
+            let mut oracle_rng = SmallRng::seed_from_u64(seed);
+            let (oracle, oracle_removed) =
+                select_candidates_oracle(&g, target, alias.as_ref(), &mut oracle_rng);
+            let pairs: Vec<VertexPair> = ec.iter().map(|&(p, _)| p).collect();
+            prop_assert_eq!(pairs, oracle);
+            for &(p, is_edge) in &ec {
+                prop_assert_eq!(is_edge, g.has_edge(p.lo(), p.hi()));
+            }
+            prop_assert_eq!(removed, oracle_removed);
+            prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+        }
+    }
 
     fn test_params(k: usize, eps: f64) -> ObfuscationParams {
         // Faster search for tests: coarser delta, fewer trials.

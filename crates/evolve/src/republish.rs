@@ -230,6 +230,7 @@ impl Republisher {
         // already certainly-deleted from E_C changes nothing.
         let mut rng =
             SmallRng::seed_from_u64(stream_seed(self.params.base.seed ^ 0xDE17A, next_epoch));
+        let noise = TruncatedNormal::new(self.sigma.max(1e-12));
         let mut changes: Vec<(u32, u32, Option<f64>)> = Vec::with_capacity(batch.num_ops());
         let (mut i, mut j) = (0usize, 0usize);
         while i < batch.inserts.len() || j < batch.deletes.len() {
@@ -239,12 +240,12 @@ impl Republisher {
                 || (i < batch.inserts.len() && batch.inserts[i] < batch.deletes[j]);
             if take_insert {
                 let (u, v) = batch.inserts[i];
-                changes.push((u, v, Some(1.0 - self.draw_noise(&mut rng))));
+                changes.push((u, v, Some(1.0 - self.draw_noise(&noise, &mut rng))));
                 i += 1;
             } else {
                 let (u, v) = batch.deletes[j];
                 if self.published.is_candidate(u, v) {
-                    changes.push((u, v, Some(self.draw_noise(&mut rng))));
+                    changes.push((u, v, Some(self.draw_noise(&noise, &mut rng))));
                 }
                 j += 1;
             }
@@ -333,12 +334,13 @@ impl Republisher {
         }
     }
 
-    /// One Algorithm 2 line 15–18 noise draw at the release σ.
-    fn draw_noise(&self, rng: &mut SmallRng) -> f64 {
+    /// One Algorithm 2 line 15–18 noise draw from `noise`, the
+    /// sampler at the release σ.
+    fn draw_noise(&self, noise: &TruncatedNormal, rng: &mut SmallRng) -> f64 {
         if rng.gen::<f64>() < self.params.base.q {
             rng.gen::<f64>()
         } else {
-            TruncatedNormal::new(self.sigma.max(1e-12)).sample(rng)
+            noise.sample(rng)
         }
     }
 }
